@@ -3,8 +3,8 @@
 // Three questions, each answered on the full 3-proc x 1-block space with
 // evictions (the largest space this suite explores to exhaustion):
 //
-//   S17a  what does spilling the frontier to disk cost?  In-RAM arenas
-//         vs spill-to-disk segments: same counts (pinned), throughput,
+//   S17a  what does spilling the frontier to disk cost?  In-memory vs
+//         file-backed segments: same counts (pinned), throughput,
 //         tracked-bytes peak, and the spill traffic itself.
 //   S17b  what do the lossy visited modes buy?  exact vs hash-compaction
 //         vs bitstate: bytes/state retained and the measured omission
@@ -72,8 +72,8 @@ std::uint64_t rate(std::uint64_t states, double secs) {
 int main(int argc, char** argv) {
   const bool quick = argc > 1 && std::string(argv[1]) == "--quick";
 
-  // ---- S17a: in-RAM arenas vs spill-to-disk frontier --------------------
-  bench::banner("S17a — frontier residence: in-RAM arenas vs disk segments");
+  // ---- S17a: in-memory vs spill-to-disk frontier segments ---------------
+  bench::banner("S17a — frontier residence: memory vs disk segments");
   std::uint64_t ramStates = 0;
   std::uint64_t ramTransitions = 0;
   {
@@ -100,15 +100,15 @@ int main(int argc, char** argv) {
             rate(r.statesExplored, secs), mib(r.trackedBytesPeak),
             mib(r.perf.spillBytesWritten), r.perf.spillSegments);
       if (r.statesExplored != ramStates || r.transitions != ramTransitions) {
-        std::cerr << "FAIL: spill counts diverge from the in-RAM engine\n";
+        std::cerr << "FAIL: spill counts diverge from the in-memory run\n";
         return 1;
       }
     }
     t.print();
     std::cout << "\nSame counts by construction (wave-synchronous BFS; "
                  "tests/mc_outofcore_test\npins it across --jobs).  The "
-                 "tracked peak drops because frontier blobs live\nin sealed "
-                 "segment files instead of ping-pong arenas; what remains "
+                 "tracked peak drops because frontier records live\nin sealed "
+                 "segment files instead of process memory; what remains "
                  "is the\nvisited set — the part the lossy modes below "
                  "shrink.\n";
   }

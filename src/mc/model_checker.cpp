@@ -19,7 +19,6 @@
 #include "common/expect.hpp"
 #include "common/flat_set.hpp"
 #include "common/thread_pool.hpp"
-#include "mc/legacy_key.hpp"
 #include "mc/spill.hpp"
 #include "mc/state_codec.hpp"
 #include "mc/tardis_mc.hpp"
@@ -129,16 +128,6 @@ class ParallelExplorer {
   McResult run();
 
  private:
-  /// A frontier entry: the world as a lossless arena blob plus its id in
-  /// the visited set.  `flightCount` feeds the per-wave successor upper
-  /// bound without deserializing.
-  struct FrontierRef {
-    const std::byte* blob = nullptr;
-    std::uint32_t len = 0;
-    std::uint32_t id = 0;
-    std::uint32_t flightCount = 0;
-  };
-
   /// A deserialized frontier state under expansion.
   struct Node {
     World w;
@@ -162,17 +151,12 @@ class ParallelExplorer {
 
   /// Chunk-local expansion output; merged at the wave barrier in chunk
   /// order so every result field is independent of worker scheduling.
-  /// With spilling, successor blobs go through `writer` into sealed
-  /// segment files (rolled over at kSegmentRecordCap records) instead of
-  /// `next`; the in-order concatenation of `segs` across chunks is the
-  /// same frontier sequence the arenas would hold, which is why exact
-  /// counts stay byte-identical between the two paths.
+  /// Successor records go through `writer` into sealed segments; the
+  /// in-order concatenation of `segs` across chunks is the next wave's
+  /// frontier.
   struct ChunkOut {
-    std::vector<FrontierRef> next;
+    std::unique_ptr<SegmentWriter> writer;
     std::vector<SegmentInfo> segs;
-    std::unique_ptr<SpillSegmentWriter> writer;
-    std::string segBase;
-    std::uint32_t segSeq = 0;
     std::vector<std::string> violations;
     std::uint64_t transitions = 0;
     std::uint64_t ampleStates = 0;
@@ -185,15 +169,16 @@ class ParallelExplorer {
     std::exception_ptr error;
   };
 
-  /// One wave's frontier when spilling: the sealed segments in frontier
-  /// order plus their aggregate counts.
+  /// One wave's frontier: the sealed segments in frontier order plus
+  /// their aggregate counts and the bytes they hold in process memory.
   struct WaveSegs {
     std::vector<SegmentInfo> segs;
     std::uint64_t records = 0;
     std::uint64_t flightSum = 0;
+    std::uint64_t memBytes = 0;
   };
 
-  /// Per-worker state: codecs, bump cursors into the shared arenas, and
+  /// Per-worker state: codecs, a bump cursor into the encoding arena, and
   /// reused scratch buffers.  Strictly single-threaded while checked out.
   /// Contexts are pooled and reused across chunks and waves — a fresh
   /// context per chunk would abandon the tail of its current arena block
@@ -203,30 +188,20 @@ class ParallelExplorer {
   struct WorkerCtx {
     WorkerCtx(const McConfig& cfg, proto::TxnCounter& txns, Arena& encArena,
               bool timingOn)
-        : codec(cfg),
-          wcodec(cfg, txns),
-          legacy(cfg),
-          encRef(encArena),
-          nextRef(encArena),  // rebound to the wave's blob arena on checkout
-          timing(timingOn) {}
+        : codec(cfg), wcodec(cfg, txns), encRef(encArena), timing(timingOn) {}
 
     StateCodec codec;
     WorldCodec wcodec;
-    LegacyCanonicalizer legacy;  ///< POR candidate ordering only
     ArenaRef encRef;
-    ArenaRef nextRef;
-    std::uint64_t waveEpoch = ~std::uint64_t{0};
     bool timing;
     std::vector<std::byte> enc;   ///< canonical-encoding scratch
     std::vector<std::byte> blob;  ///< world-blob scratch
   };
 
-  /// Check a context out of the pool, rebinding its frontier-blob cursor
-  /// when the wave (and thus the target ping-pong arena) changed since its
-  /// last use.  A wave with C chunks touches at most min(C, jobs)
-  /// contexts, so the pool never exceeds the worker count.
-  std::unique_ptr<WorkerCtx> acquireCtx(std::uint64_t epoch,
-                                        Arena& nextArena) {
+  /// Check a context out of the pool.  A wave with C chunks touches at
+  /// most min(C, jobs) contexts, so the pool never exceeds the worker
+  /// count.
+  std::unique_ptr<WorkerCtx> acquireCtx() {
     std::unique_ptr<WorkerCtx> ctx;
     {
       const std::lock_guard<std::mutex> lk(ctxMu_);
@@ -237,10 +212,6 @@ class ParallelExplorer {
     }
     if (!ctx) {
       ctx = std::make_unique<WorkerCtx>(cfg_, txns_, encArena_, cfg_.perf);
-    }
-    if (ctx->waveEpoch != epoch) {
-      ctx->nextRef = ArenaRef(nextArena);
-      ctx->waveEpoch = epoch;
     }
     return ctx;
   }
@@ -282,22 +253,9 @@ class ParallelExplorer {
            std::memcmp(e.ptr, enc.data(), e.len) == 0;
   }
 
-  /// Roll the chunk's open spill segment into its sealed list.
-  static void sealChunk(ChunkOut& out) {
-    if (out.writer) {
-      out.segs.push_back(out.writer->seal());
-      out.writer.reset();
-    }
-  }
-
-  /// Successor records per segment file before rolling over to the next
-  /// one; bounds both segment size and the per-task read granularity of
-  /// the following wave.
-  static constexpr std::uint64_t kSegmentRecordCap = 1u << 16;
-
   /// Insert a state already canonically encoded in `enc`; on winning,
   /// remember it according to the visited mode and append the world's
-  /// frontier blob to `out.next` (in RAM) or the chunk's spill segment.
+  /// frontier record to the chunk's segments.
   void recordEncoded(const World& s, std::uint32_t parent, const Action& a,
                      WorkerCtx& ctx, ChunkOut& out) {
     const std::uint64_t fp =
@@ -363,23 +321,8 @@ class ParallelExplorer {
       ScopedNanos t(out.perf.worldSaveNanos, ctx.timing);
       ctx.wcodec.save(s, ctx.blob);
     }
-    if (spill_) {
-      if (!out.writer) {
-        out.writer = std::make_unique<SpillSegmentWriter>(
-            out.segBase + "-" + std::to_string(out.segSeq++) + ".seg",
-            digest_);
-      }
-      out.writer->add(id, static_cast<std::uint32_t>(s.flight.size()),
-                      ctx.blob.data(), ctx.blob.size());
-      if (out.writer->records() >= kSegmentRecordCap) sealChunk(out);
-      return;
-    }
-    std::byte* bp = ctx.nextRef.alloc(ctx.blob.size());
-    std::memcpy(bp, ctx.blob.data(), ctx.blob.size());
-    out.next.push_back(FrontierRef{bp,
-                                   static_cast<std::uint32_t>(ctx.blob.size()),
-                                   id,
-                                   static_cast<std::uint32_t>(s.flight.size())});
+    out.writer->add(id, static_cast<std::uint32_t>(s.flight.size()),
+                    ctx.blob.data(), ctx.blob.size());
   }
 
   void record(const World& s, std::uint32_t parent, const Action& a,
@@ -560,60 +503,58 @@ class ParallelExplorer {
     }
   }
 
-  /// The control projection of one cache used by the POR safety test:
+  /// Same control state of one cache, as the POR safety test sees it:
   /// everything the protocol branches on (states, MSHR presence/phase,
   /// buffered messages, drop bookkeeping), excluding pure-accounting
   /// fields (ack sets, stamps, data payloads) whose updates commute.
-  std::string controlProjection(const proto::CacheController& c) const {
-    std::ostringstream os;
-    for (BlockId b = 0; b < cfg_.numBlocks; ++b) {
-      const proto::Line* line = c.findLine(b);
-      if (line == nullptr) {
-        os << "-;";
+  bool sameControl(const proto::CacheController& a,
+                   const proto::CacheController& b) const {
+    const auto sameMsg = [](const proto::Message& x, const proto::Message& y) {
+      return x.type == y.type && x.requester == y.requester && x.txn == y.txn;
+    };
+    for (BlockId blk = 0; blk < cfg_.numBlocks; ++blk) {
+      const proto::Line* la = a.findLine(blk);
+      const proto::Line* lb = b.findLine(blk);
+      if (la == nullptr || lb == nullptr) {
+        if (la != lb) return false;
         continue;
       }
-      os << static_cast<int>(line->cstate) << static_cast<int>(line->astate)
-         << ',' << line->ignoreFwdTxn << ',' << line->dropInvTxn << ',';
-      if (line->mshr) {
-        const proto::Mshr& m = *line->mshr;
-        os << 'M' << static_cast<int>(m.req) << m.replySeen << m.invListKnown
-           << ',' << m.txn << ",p";
-        if (m.pendingFwd) {
-          os << static_cast<int>(m.pendingFwd->type) << '/'
-             << m.pendingFwd->requester << '/' << m.pendingFwd->txn;
-        } else {
-          os << '-';
-        }
-        os << ",b[";
-        for (const proto::Message& bm : m.buffered) {
-          os << static_cast<int>(bm.type) << '/' << bm.requester << '/'
-             << bm.txn << ' ';
-        }
-        os << ']';
-      } else {
-        os << "M-";
+      if (la->cstate != lb->cstate || la->astate != lb->astate ||
+          la->ignoreFwdTxn != lb->ignoreFwdTxn ||
+          la->dropInvTxn != lb->dropInvTxn ||
+          la->mshr.has_value() != lb->mshr.has_value()) {
+        return false;
       }
-      os << ';';
+      if (!la->mshr) continue;
+      const proto::Mshr& ma = *la->mshr;
+      const proto::Mshr& mb = *lb->mshr;
+      if (ma.req != mb.req || ma.replySeen != mb.replySeen ||
+          ma.invListKnown != mb.invListKnown || ma.txn != mb.txn ||
+          ma.pendingFwd.has_value() != mb.pendingFwd.has_value() ||
+          (ma.pendingFwd && !sameMsg(*ma.pendingFwd, *mb.pendingFwd)) ||
+          ma.buffered.size() != mb.buffered.size()) {
+        return false;
+      }
+      for (std::size_t i = 0; i < ma.buffered.size(); ++i) {
+        if (!sameMsg(ma.buffered[i], mb.buffered[i])) return false;
+      }
     }
-    return os.str();
+    return true;
   }
 
   /// Ample-set attempt: find a "safe" delivery — destined to a cache, the
   /// only in-flight message for that (cache, block), raising no error,
-  /// emitting nothing, and leaving the cache's control projection
-  /// untouched — and expand only it.  Candidates are ranked by the
-  /// *legacy string* canonical successor key: equality classes alone
-  /// would not pin down which candidate wins, and the old engine's POR
-  /// counts depend on its exact representative choice, so the string
-  /// order is kept here (and only here — POR runs already trade
-  /// throughput for fewer states).  A candidate whose successor was
-  /// already visited in an earlier wave is skipped (the proviso that
+  /// emitting nothing, and leaving the cache's control state untouched —
+  /// and expand only it.  Candidates are ranked by their canonical
+  /// successor encoding, so the representative depends on the state alone,
+  /// never on flight order or worker timing.  A candidate whose successor
+  /// was already visited in an earlier wave is skipped (the proviso that
   /// defeats the ignoring problem); with no eligible candidate the caller
   /// falls back to full expansion.
   bool expandAmple(const Node& n, WorkerCtx& ctx, ChunkOut& out) {
     const World& w = n.w;
     struct Cand {
-      std::string key;
+      std::vector<std::byte> enc;
       World succ;
       std::size_t idx;
     };
@@ -638,23 +579,20 @@ class ParallelExplorer {
       } catch (const ProtocolError&) {
         continue;  // not safe: full expansion will surface the violation
       }
-      if (!ob.msgs.empty()) continue;
-      if (controlProjection(w.caches[f.dst]) !=
-          controlProjection(s.caches[f.dst])) {
+      if (!ob.msgs.empty() || !sameControl(w.caches[f.dst], s.caches[f.dst])) {
         continue;
       }
-      cands.push_back(Cand{ctx.legacy.key(s), std::move(s), i});
-    }
-    if (cands.empty()) return false;
-    std::sort(cands.begin(), cands.end(),
-              [](const Cand& a, const Cand& b) { return a.key < b.key; });
-    for (Cand& c : cands) {
       out.perf.encodeCalls += 1;
       {
         ScopedNanos t(out.perf.encodeNanos, ctx.timing);
-        ctx.codec.encode(c.succ, ctx.enc);
+        ctx.codec.encode(s, ctx.enc);
       }
-      if (visitedBeforeWave(ctx.enc)) continue;
+      cands.push_back(Cand{ctx.enc, std::move(s), i});
+    }
+    std::sort(cands.begin(), cands.end(),
+              [](const Cand& a, const Cand& b) { return a.enc < b.enc; });
+    for (Cand& c : cands) {
+      if (visitedBeforeWave(c.enc)) continue;
       const Flight& f = w.flight[c.idx];
       Action a;
       a.kind = Action::Kind::Deliver;
@@ -663,6 +601,7 @@ class ParallelExplorer {
       a.msgType = f.msg.type;
       a.block = f.msg.block;
       out.transitions += 1;
+      ctx.enc.swap(c.enc);
       recordEncoded(c.succ, n.id, a, ctx, out);
       return true;
     }
@@ -765,85 +704,55 @@ class ParallelExplorer {
     }
   }
 
-  void expandRange(const std::vector<FrontierRef>& frontier, std::size_t begin,
-                   std::size_t end, std::uint64_t epoch, Arena& nextArena,
-                   ChunkOut& out) {
-    std::unique_ptr<WorkerCtx> ctxOwner = acquireCtx(epoch, nextArena);
+  /// One expansion task: the wave's frontier records [begin, end), which
+  /// may start mid-segment (the records before it are skipped header by
+  /// header) and span several segments.
+  void expandTask(const WaveSegs& wave, std::uint64_t begin,
+                  std::uint64_t end, ChunkOut& out) {
+    std::unique_ptr<WorkerCtx> ctxOwner = acquireCtx();
     WorkerCtx& ctx = *ctxOwner;
     try {
       ScopedNanos whole(out.perf.expandNanos, ctx.timing);
-      for (std::size_t i = begin; i < end; ++i) {
-        const FrontierRef& ref = frontier[i];
-        Node n;
-        {
-          ScopedNanos t(out.perf.worldLoadNanos, ctx.timing);
-          n.w = ctx.wcodec.load(ref.blob, ref.len);
-        }
-        n.id = ref.id;
-        const bool violating = checkState(n, out);
-        if (!violating) expandState(n, ctx, out);
+      // Find the segment holding record `begin`; `segStart` is the
+      // frontier index of a segment's first record.
+      std::size_t seg = 0;
+      std::uint64_t segStart = 0;
+      while (segStart + wave.segs[seg].records <= begin) {
+        segStart += wave.segs[seg++].records;
       }
-      sealChunk(out);
+      SegmentReader::Record r;
+      for (std::uint64_t i = begin; i < end; ++seg) {
+        const SegmentInfo& info = wave.segs[seg];
+        SegmentReader reader(info, digest_);
+        for (std::uint64_t k = segStart; k < i; ++k) reader.next(r);
+        segStart += info.records;
+        for (; i < end && i < segStart; ++i) {
+          reader.next(r);
+          Node n;
+          {
+            ScopedNanos t(out.perf.worldLoadNanos, ctx.timing);
+            n.w = ctx.wcodec.load(r.blob, r.len);
+          }
+          n.id = static_cast<std::uint32_t>(r.id);
+          if (!info.path.empty()) out.perf.spillBytesRead += r.len;
+          const bool violating = checkState(n, out);
+          if (!violating) expandState(n, ctx, out);
+        }
+      }
+      out.segs = out.writer->finish();
     } catch (...) {
       out.error = std::current_exception();
     }
+    out.writer.reset();
     releaseCtx(std::move(ctxOwner));
   }
 
-  /// Spill-mode expansion task: drain (a prefix of) one sealed segment.
-  /// `recordBudget` < records() only in the final wave of a state-capped
-  /// run — the cut is at record granularity, matching the in-RAM prefix.
-  void expandSegment(const SegmentInfo& seg, std::uint64_t recordBudget,
-                     std::uint64_t epoch, ChunkOut& out) {
-    std::unique_ptr<WorkerCtx> ctxOwner = acquireCtx(epoch, waveArenas_[0]);
-    WorkerCtx& ctx = *ctxOwner;
-    try {
-      ScopedNanos whole(out.perf.expandNanos, ctx.timing);
-      SpillSegmentReader reader(seg.path, digest_);
-      // A freshly sealed segment always agrees with its catalogue entry;
-      // a mismatch means the file or the checkpoint manifest was altered
-      // after the seal.
-      if (reader.records() != seg.records ||
-          reader.flightSum() != seg.flightSum ||
-          reader.payloadBytes() != seg.payloadBytes) {
-        throw SimError(
-            "spill segment header disagrees with its catalogue entry "
-            "(corrupt segment or manifest): " +
-            seg.path);
-      }
-      SpillSegmentReader::Record r;
-      std::uint64_t done = 0;
-      while (done < recordBudget && reader.next(r)) {
-        Node n;
-        {
-          ScopedNanos t(out.perf.worldLoadNanos, ctx.timing);
-          n.w = ctx.wcodec.load(r.blob, r.len);
-        }
-        n.id = static_cast<std::uint32_t>(r.id);
-        out.perf.spillBytesRead += r.len;
-        const bool violating = checkState(n, out);
-        if (!violating) expandState(n, ctx, out);
-        done += 1;
-      }
-      if (done < recordBudget) {
-        throw SimError("spill segment holds fewer records than its header "
-                       "claims: " +
-                       seg.path);
-      }
-      sealChunk(out);
-    } catch (...) {
-      out.error = std::current_exception();
-    }
-    releaseCtx(std::move(ctxOwner));
-  }
-
-  /// Bytes currently committed to the structures the explorer owns — the
-  /// quantity `--mem-limit-mb` bounds.  (Transient per-chunk worlds and
-  /// scratch are not tracked; they are small and wave-independent.)
+  /// Bytes currently committed to the visited structures the explorer
+  /// owns.  Plus the in-memory frontier segments, this is the quantity
+  /// `--mem-limit-mb` bounds.  (Transient per-chunk worlds and scratch are
+  /// not tracked; they are small and wave-independent.)
   [[nodiscard]] std::uint64_t trackedBytesBase() const {
     std::uint64_t b = visited_.bytes() + encArena_.bytesReserved() +
-                      waveArenas_[0].bytesReserved() +
-                      waveArenas_[1].bytesReserved() +
                       encs_.capacity() * sizeof(EncRef) +
                       parents_.capacity() * sizeof(std::uint32_t) +
                       actions_.capacity() * sizeof(std::uint64_t) +
@@ -858,15 +767,16 @@ class ParallelExplorer {
   static constexpr std::uint64_t kSpillWriterBudget = std::uint64_t{2} << 20;
 
   /// What the tracked bytes will be AFTER this wave's boundary growth:
-  /// visited-slab rehash (old + new slab live during the copy), bitstate
-  /// claim growth, id-array growth, and the spill write buffers the
-  /// workers are about to fill.  The memory-limit verdict tests this
-  /// projection BEFORE reserving, so the growth transient itself can no
-  /// longer overshoot `--mem-limit-mb` (it used to: only post-growth
-  /// arena bytes were counted).
-  [[nodiscard]] std::uint64_t projectedTrackedBytes(
-      std::size_t frontierCap, std::uint64_t waveBound, unsigned jobs) const {
-    std::uint64_t b = trackedBytesBase();
+  /// the wave's in-memory segments plus visited-slab rehash (old + new
+  /// slab live during the copy), bitstate claim growth, id-array growth,
+  /// and the spill write buffers the workers are about to fill.  The
+  /// memory-limit verdict tests this projection BEFORE reserving, so the
+  /// growth transient itself can no longer overshoot `--mem-limit-mb` (it
+  /// used to: only post-growth arena bytes were counted).
+  [[nodiscard]] std::uint64_t projectedTrackedBytes(const WaveSegs& wave,
+                                                    std::uint64_t waveBound,
+                                                    unsigned jobs) const {
+    std::uint64_t b = trackedBytesBase() + wave.memBytes;
     b -= visited_.bytes();
     b += visited_.bytesAfterReserve(static_cast<std::size_t>(waveBound));
     if (waveClaim_) {
@@ -883,7 +793,6 @@ class ParallelExplorer {
         idsNeeded > fpsById_.capacity()) {
       b += (idsNeeded - fpsById_.capacity()) * sizeof(std::uint64_t);
     }
-    b += frontierCap * sizeof(FrontierRef);
     if (spill_) b += static_cast<std::uint64_t>(jobs) * kSpillWriterBudget;
     return b;
   }
@@ -893,10 +802,16 @@ class ParallelExplorer {
     return slash == std::string::npos ? path : path.substr(slash + 1);
   }
 
-  [[nodiscard]] std::string segBasePath(std::uint64_t epoch,
-                                        std::size_t chunk) const {
-    return spillPath_ + "/w" + std::to_string(epoch) + "-c" +
-           std::to_string(chunk);
+  /// The writer for one task's successor records: files
+  /// `w<epoch>-c<chunk>-<n>.seg` under the spill directory with
+  /// `--spill`/`--checkpoint`, process memory otherwise.
+  [[nodiscard]] std::unique_ptr<SegmentWriter> makeWriter(
+      std::uint64_t epoch, std::size_t chunk) const {
+    return std::make_unique<SegmentWriter>(
+        spill_ ? spillPath_ + "/w" + std::to_string(epoch) + "-c" +
+                     std::to_string(chunk)
+               : std::string(),
+        digest_);
   }
 
   /// Bitstate barrier publication: fold the wave's claimed fingerprints
@@ -910,29 +825,33 @@ class ParallelExplorer {
     for (SegmentInfo& s : o.segs) {
       next.records += s.records;
       next.flightSum += s.flightSum;
-      result_.perf.spillSegments += 1;
-      result_.perf.spillBytesWritten += s.payloadBytes;
+      next.memBytes += s.bytes.capacity();
+      if (!s.path.empty()) {
+        result_.perf.spillSegments += 1;
+        result_.perf.spillBytesWritten += s.payloadBytes;
+      }
       next.segs.push_back(std::move(s));
     }
     o.segs.clear();
   }
 
-  /// Remove a drained wave's segment files, sparing any referenced by
-  /// the latest checkpoint manifest (a resume needs them intact).  Spared
-  /// files are remembered so the next checkpoint, once its manifest no
-  /// longer references them, can reclaim the disk — otherwise every
-  /// checkpointed wave's segments would accumulate for the whole run.
+  /// Drop a drained wave's segments.  Files are removed, sparing any
+  /// referenced by the latest checkpoint manifest (a resume needs them
+  /// intact).  Spared files are remembered so the next checkpoint, once
+  /// its manifest no longer references them, can reclaim the disk —
+  /// otherwise every checkpointed wave's segments would accumulate for
+  /// the whole run.
   void deleteSegs(WaveSegs& w) {
-    for (SegmentInfo& s : w.segs) {
-      if (protected_.count(fileBase(s.path)) == 0) {
-        std::remove(s.path.c_str());
-      } else {
-        retiredSegs_.push_back(std::move(s.path));
+    if (spill_) {
+      for (SegmentInfo& s : w.segs) {
+        if (protected_.count(fileBase(s.path)) == 0) {
+          std::remove(s.path.c_str());
+        } else {
+          retiredSegs_.push_back(std::move(s.path));
+        }
       }
     }
-    w.segs.clear();
-    w.records = 0;
-    w.flightSum = 0;
+    w = WaveSegs{};
   }
 
   /// Checkpoint at a wave boundary: append the not-yet-logged visited
@@ -1123,8 +1042,7 @@ class ParallelExplorer {
   std::mutex ctxMu_;
   std::vector<std::unique_ptr<WorkerCtx>> ctxPool_;
   FlatFingerprintSet visited_;
-  Arena encArena_;        ///< canonical encodings of visited states
-  Arena waveArenas_[2];   ///< ping-pong frontier-blob arenas
+  Arena encArena_;  ///< canonical encodings of visited states
   std::atomic<std::uint32_t> nextId_{0};
   std::uint32_t idWatermark_ = 0;  ///< POR proviso horizon (wave start)
   std::vector<EncRef> encs_;
@@ -1166,70 +1084,50 @@ McResult ParallelExplorer::run() {
       static_cast<std::uint64_t>(cfg_.numProcessors) * cfg_.numBlocks *
       (2 + (cfg_.modelData ? 1 : 0));
 
-  std::size_t cur = 0;
-  std::vector<FrontierRef> frontier;  // in-RAM frontier
-  WaveSegs wave;                      // spilled frontier
-
+  WaveSegs wave;
   if (!cfg_.resumeDir.empty()) {
     restoreFromCheckpoint(wave);
   } else {
-    // Seed the root (wave arena 0 / segment w0-c0 holds the first
-    // frontier's blobs).
+    // Seed the root (segment w0-c0 holds the first frontier).
     growIdArrays(16);
     ChunkOut rootOut;
-    if (spill_) rootOut.segBase = segBasePath(0, 0);
-    std::unique_ptr<WorkerCtx> ctx = acquireCtx(0, waveArenas_[0]);
+    rootOut.writer = makeWriter(0, 0);
+    std::unique_ptr<WorkerCtx> ctx = acquireCtx();
     const World init = makeInitialWorld(cfg_, txns_);
-    try {
-      record(init, kNoParent, Action{}, *ctx, rootOut);
-      sealChunk(rootOut);
-    } catch (...) {
-      rootOut.error = std::current_exception();
-    }
+    record(init, kNoParent, Action{}, *ctx, rootOut);
     releaseCtx(std::move(ctx));
-    if (rootOut.error) std::rethrow_exception(rootOut.error);
+    rootOut.segs = rootOut.writer->finish();
     result_.perf.merge(rootOut.perf);
     if (mode_ == VisitedMode::Bitstate) {
       publishClaims();
       waveClaim_->clear();
     }
-    if (spill_) {
-      absorbSegs(rootOut, wave);
-    } else {
-      frontier = std::move(rootOut.next);
-    }
+    absorbSegs(rootOut, wave);
   }
 
-  while (spill_ ? wave.records != 0 : !frontier.empty()) {
-    const std::uint64_t frontSize = spill_ ? wave.records : frontier.size();
-    result_.frontierPeak = std::max(result_.frontierPeak, frontSize);
+  while (wave.records != 0) {
+    result_.frontierPeak = std::max(result_.frontierPeak, wave.records);
     const std::uint64_t remaining =
         cfg_.maxStates > result_.statesExplored
             ? cfg_.maxStates - result_.statesExplored
             : 0;
-    std::uint64_t expandCount = frontSize;
-    if (remaining < frontSize) {
+    std::uint64_t expandCount = wave.records;
+    if (remaining < wave.records) {
       expandCount = remaining;
       result_.hitStateLimit = true;
     }
     if (expandCount == 0) {
-      if (spill_) deleteSegs(wave);
+      deleteSegs(wave);
       break;
     }
 
     // This wave's successor upper bound: the visited table and the id
     // arrays may not grow mid-wave (the flat set must not rehash under
     // concurrent inserts; workers index the id arrays without locks).
-    // The spilled path charges the whole wave's flight sum — an upper
-    // bound either way, and capacity never affects counts.
-    std::uint64_t waveBound = expandCount * issueBound;
-    if (spill_) {
-      waveBound += wave.flightSum;
-    } else {
-      for (std::uint64_t i = 0; i < expandCount; ++i) {
-        waveBound += frontier[static_cast<std::size_t>(i)].flightCount;
-      }
-    }
+    // It charges the whole wave's flight sum even when a state cap cuts
+    // the wave — an upper bound either way, and capacity never affects
+    // counts.
+    const std::uint64_t waveBound = expandCount * issueBound + wave.flightSum;
 
     // Memory-limit verdict — decided only at wave boundaries (counts
     // stay exact and jobs-independent for every completed wave), and
@@ -1238,10 +1136,11 @@ McResult ParallelExplorer::run() {
     // checkpointing the stop is resumable: the pending wave was either
     // just checkpointed or is checkpointed right here.
     if (cfg_.memLimitMb != 0 &&
-        projectedTrackedBytes(frontier.capacity(), waveBound, jobs) >
+        projectedTrackedBytes(wave, waveBound, jobs) >
             cfg_.memLimitMb * 1024 * 1024) {
       result_.memLimitHit = true;
       if (checkpointing_) writeCheckpoint(wave);
+      deleteSegs(wave);  // spares the files a checkpoint just pinned
       break;
     }
 
@@ -1257,50 +1156,25 @@ McResult ParallelExplorer::run() {
     // Freeze the POR proviso horizon at the wave boundary.
     idWatermark_ = baseId;
 
-    Arena& nextArena = waveArenas_[1 - cur];
+    // Tasks are record ranges over the wave's segments.  Adaptive
+    // chunking: large chunks on small frontiers so oversubscribed hosts
+    // don't pay merge cost for nothing, bounded below at 64 states.  A
+    // state cap cuts the wave at record granularity.  Chunk order is
+    // frontier order, so the in-order merge keeps the next wave's
+    // sequence independent of scheduling.
+    const std::uint64_t chunkSize = std::max<std::uint64_t>(
+        expandCount / (std::uint64_t{8} * jobs), 64);
+    const std::size_t nChunks =
+        static_cast<std::size_t>((expandCount + chunkSize - 1) / chunkSize);
     const std::uint64_t epoch = result_.wavesCompleted + 1;
-    std::vector<ChunkOut> outs;
-    if (spill_) {
-      // One task per source segment, with a record budget cutting the
-      // final partial segment of a state-capped run.  Segment order is
-      // frontier order, so in-order merge keeps the global sequence
-      // identical to the in-RAM path.
-      std::vector<std::pair<const SegmentInfo*, std::uint64_t>> specs;
-      std::uint64_t left = expandCount;
-      for (const SegmentInfo& s : wave.segs) {
-        if (left == 0) break;
-        const std::uint64_t budget = std::min(s.records, left);
-        left -= budget;
-        specs.emplace_back(&s, budget);
-      }
-      outs.resize(specs.size());
-      for (std::size_t c = 0; c < specs.size(); ++c) {
-        outs[c].segBase = segBasePath(epoch, c);
-        const SegmentInfo* seg = specs[c].first;
-        const std::uint64_t budget = specs[c].second;
-        pool.submit([this, seg, budget, epoch, &outs, c] {
-          expandSegment(*seg, budget, epoch, outs[c]);
-        });
-      }
-    } else {
-      // Adaptive chunking: large chunks on small frontiers so
-      // oversubscribed hosts don't pay merge cost for nothing, bounded
-      // below at 64 states.
-      const std::size_t chunkSize = std::max<std::size_t>(
-          static_cast<std::size_t>(expandCount) / (std::size_t{8} * jobs),
-          std::size_t{64});
-      const std::size_t nChunks =
-          (static_cast<std::size_t>(expandCount) + chunkSize - 1) / chunkSize;
-      outs.resize(nChunks);
-      for (std::size_t c = 0; c < nChunks; ++c) {
-        const std::size_t begin = c * chunkSize;
-        const std::size_t end = std::min(static_cast<std::size_t>(expandCount),
-                                         begin + chunkSize);
-        pool.submit([this, &frontier, &outs, &nextArena, epoch, c, begin,
-                     end] {
-          expandRange(frontier, begin, end, epoch, nextArena, outs[c]);
-        });
-      }
+    std::vector<ChunkOut> outs(nChunks);
+    for (std::size_t c = 0; c < nChunks; ++c) {
+      const std::uint64_t begin = c * chunkSize;
+      const std::uint64_t end = std::min(expandCount, begin + chunkSize);
+      outs[c].writer = makeWriter(epoch, c);
+      pool.submit([this, &wave, &outs, c, begin, end] {
+        expandTask(wave, begin, end, outs[c]);
+      });
     }
     pool.wait();
     for (ChunkOut& o : outs) {
@@ -1312,7 +1186,6 @@ McResult ParallelExplorer::run() {
     }
 
     result_.statesExplored += expandCount;
-    std::vector<FrontierRef> next;
     WaveSegs nextWave;
     std::vector<std::string> waveViolations;
     for (ChunkOut& o : outs) {
@@ -1324,19 +1197,13 @@ McResult ParallelExplorer::run() {
         waveViolations.push_back(std::move(v));
       }
       if (!cexSeed && o.cex) cexSeed = std::move(o.cex);
-      if (spill_) {
-        absorbSegs(o, nextWave);
-      } else {
-        for (const FrontierRef& ref : o.next) next.push_back(ref);
-      }
+      absorbSegs(o, nextWave);
     }
-    result_.frontierBytesPeak = std::max<std::uint64_t>(
-        result_.frontierBytesPeak,
-        waveArenas_[0].bytesReserved() + waveArenas_[1].bytesReserved());
-    result_.trackedBytesPeak = std::max<std::uint64_t>(
-        result_.trackedBytesPeak,
-        trackedBytesBase() +
-            (frontier.capacity() + next.capacity()) * sizeof(FrontierRef));
+    const std::uint64_t frontierBytes = wave.memBytes + nextWave.memBytes;
+    result_.frontierBytesPeak =
+        std::max(result_.frontierBytesPeak, frontierBytes);
+    result_.trackedBytesPeak = std::max(result_.trackedBytesPeak,
+                                        trackedBytesBase() + frontierBytes);
     std::sort(waveViolations.begin(), waveViolations.end());
     waveViolations.erase(
         std::unique(waveViolations.begin(), waveViolations.end()),
@@ -1352,19 +1219,15 @@ McResult ParallelExplorer::run() {
     if (!result_.violations.empty() || result_.deadlockFound ||
         result_.hitStateLimit) {
       // Terminal verdict: nothing to resume; drop unprotected segments.
-      if (spill_) {
-        deleteSegs(wave);
-        deleteSegs(nextWave);
-      }
+      deleteSegs(wave);
+      deleteSegs(nextWave);
       break;
     }
     if (cfg_.maxDepth != 0 && result_.wavesCompleted >= cfg_.maxDepth) {
       // Depth-capped stop is resumable (rerun with a larger --max-depth).
       if (checkpointing_) writeCheckpoint(nextWave);
-      if (spill_) {
-        deleteSegs(wave);
-        if (!checkpointing_) deleteSegs(nextWave);
-      }
+      deleteSegs(wave);
+      if (!checkpointing_) deleteSegs(nextWave);
       break;
     }
     if (checkpointing_ &&
@@ -1373,16 +1236,8 @@ McResult ParallelExplorer::run() {
             0) {
       writeCheckpoint(nextWave);
     }
-    if (spill_) {
-      deleteSegs(wave);
-      wave = std::move(nextWave);
-    } else {
-      frontier = std::move(next);
-      // The expanded wave's blobs are dead; recycle its arena for the
-      // wave after next.
-      waveArenas_[cur].reset();
-      cur = 1 - cur;
-    }
+    deleteSegs(wave);
+    wave = std::move(nextWave);
   }
 
   if (cexSeed) {

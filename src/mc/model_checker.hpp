@@ -28,14 +28,15 @@
 //     `StateCodec`, deduplicated in one flat open-addressing fingerprint
 //     set (`common/flat_set.hpp`, CAS insertion, full-encoding compare on
 //     fingerprint hits), and frontier worlds live as lossless varint
-//     blobs (`WorldCodec`) in ping-pong bump arenas.  Each wave's
-//     frontier is chunked across the work-stealing `lcdc::ThreadPool`,
-//     the visited table grows only at wave boundaries, and all stop
-//     decisions (violation found, deadlock, state cap, memory limit)
-//     happen at wave boundaries, so `statesExplored` / `transitions` /
-//     verdicts are identical for any `jobs` value — and byte-identical
-//     to the original string-key engine (`legacy_key.hpp` remains as the
-//     differential oracle).
+//     blobs (`WorldCodec`) in sealed segment record streams
+//     (`spill.hpp`) — in process memory, or in files with `spillDir`.
+//     Each wave's frontier is cut into record ranges across the
+//     work-stealing `lcdc::ThreadPool`, the visited table grows only at
+//     wave boundaries, and all stop decisions (violation found, deadlock,
+//     state cap, memory limit) happen at wave boundaries, so
+//     `statesExplored` / `transitions` / verdicts are identical for any
+//     `jobs` value — and byte-identical to the original string-key engine
+//     (the codec tests keep its key as their differential oracle).
 //   * Every visited state keeps a compact parent edge (4-byte parent id +
 //     the action packed into 8 bytes), so any violation or deadlock
 //     reconstructs into a concrete schedule; `replay.hpp` re-executes
@@ -128,7 +129,8 @@ struct McConfig {
   std::uint64_t maxDepth = 0;
   /// Stop gracefully (MemLimit verdict, `McResult::memLimitHit`) at the
   /// next wave boundary once the explorer's tracked structures — visited
-  /// slabs, encoding/frontier arenas, edge arrays — exceed this many MiB.
+  /// slabs, encoding arena, in-memory frontier segments, edge arrays —
+  /// exceed this many MiB.
   /// 0 = unlimited.  Checked only between waves, so a run that stops here
   /// still reports exact, jobs-independent counts for the waves it did.
   std::uint64_t memLimitMb = 0;
@@ -140,11 +142,11 @@ struct McConfig {
   /// Bitstate mode only: Bloom array budget in MiB (rounded down to a
   /// power of two of bits).
   std::uint64_t bitstateMb = 64;
-  /// Non-empty: spill each wave's frontier blobs to sealed segment files
-  /// under this directory instead of holding them in the ping-pong
-  /// arenas, bounding frontier RSS by the spill write buffers.  Counts
-  /// and verdicts are byte-identical to the in-RAM engine for any
-  /// `jobs` (the segment concatenation preserves frontier order).
+  /// Non-empty: back each wave's frontier segments with files under this
+  /// directory instead of process memory, bounding frontier RSS by the
+  /// spill write buffers.  The record stream is the same either way, so
+  /// counts and verdicts are byte-identical to an in-memory run for any
+  /// `jobs`.
   std::string spillDir;
   /// Non-empty: checkpoint the visited structures + the pending wave's
   /// spill segments at wave boundaries into this directory (implies
@@ -208,10 +210,11 @@ struct McResult {
   /// End-of-run footprint of the visited structures: flat-set slabs +
   /// canonical-encoding arena + parent/action/encoding-ref arrays.
   std::uint64_t visitedBytes = 0;
-  /// Peak bytes reserved by the two ping-pong frontier-blob arenas.
+  /// Peak bytes held by in-memory frontier segments (the wave under
+  /// expansion plus the one it produces; 0 when they are file-backed).
   std::uint64_t frontierBytesPeak = 0;
   /// Peak of the tracked-bytes sum `--mem-limit-mb` bounds (visited
-  /// slabs, arenas, id arrays, spill buffers, bitstate array).
+  /// slabs, encoding arena, frontier segments, id arrays, bitstate array).
   std::uint64_t trackedBytesPeak = 0;
   /// Process peak RSS (getrusage ru_maxrss) at the end of the run — the
   /// ground truth the tracked-bytes accounting approximates.

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
@@ -24,6 +25,14 @@ constexpr char kBloomMagic[8] = {'L', 'C', 'B', 'L', 'O', 'O', 'M', '1'};
 constexpr std::size_t kSpillHeaderBytes = 48;
 constexpr std::size_t kBloomHeaderBytes = 24;
 constexpr std::size_t kWriterFlushBytes = std::size_t{1} << 20;
+/// Upper bound of a record's three varint header fields.
+constexpr std::size_t kMaxRecordHeaderBytes = 30;
+/// Records per file-backed segment before rolling over to the next one;
+/// bounds both segment size and what a reader maps at once.
+constexpr std::uint64_t kSegmentRecordCap = std::uint64_t{1} << 16;
+/// Record-stream bytes per memory-backed segment before rolling over (the
+/// granularity in which a wave's frontier is allocated and freed).
+constexpr std::size_t kMemSegmentBytes = std::size_t{1} << 20;
 
 void putLE32(std::byte* p, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
@@ -125,28 +134,44 @@ std::uint64_t configDigest(const McConfig& cfg) {
   return fingerprintHash(buf.data(), buf.size());
 }
 
-// -- SpillSegmentWriter ------------------------------------------------------
+// -- SegmentWriter -----------------------------------------------------------
 
-SpillSegmentWriter::SpillSegmentWriter(std::string path,
-                                       std::uint64_t configDigest)
-    : path_(std::move(path)), digest_(configDigest) {
-  f_ = std::fopen(path_.c_str(), "wb");
-  if (f_ == nullptr) throwIo("cannot create spill segment", path_);
-  std::byte header[kSpillHeaderBytes] = {};
-  if (std::fwrite(header, 1, kSpillHeaderBytes, f_) != kSpillHeaderBytes) {
-    throwIo("cannot write spill segment header", path_);
+SegmentWriter::SegmentWriter(std::string pathBase, std::uint64_t configDigest)
+    : pathBase_(std::move(pathBase)), digest_(configDigest) {}
+
+SegmentWriter::~SegmentWriter() {
+  if (f_ != nullptr) {
+    std::fclose(f_);
+    std::remove(path_.c_str());  // abandon the partial segment
   }
-  fileBytes_ = kSpillHeaderBytes;
 }
 
-SpillSegmentWriter::~SpillSegmentWriter() {
-  if (f_ != nullptr) std::fclose(f_);
-  if (!sealed_) std::remove(path_.c_str());  // abandon partial segment
-}
-
-void SpillSegmentWriter::add(std::uint64_t id, std::uint32_t flightCount,
-                             const std::byte* blob, std::size_t len) {
+void SegmentWriter::add(std::uint64_t id, std::uint32_t flightCount,
+                        const std::byte* blob, std::size_t len) {
   using trace::codec::putU64;
+  const bool file = !pathBase_.empty();
+  if (file && f_ == nullptr) {
+    path_ = pathBase_ + "-" + std::to_string(seq_++) + ".seg";
+    f_ = std::fopen(path_.c_str(), "wb");
+    if (f_ == nullptr) throwIo("cannot create spill segment", path_);
+    const std::byte header[kSpillHeaderBytes] = {};
+    if (std::fwrite(header, 1, kSpillHeaderBytes, f_) != kSpillHeaderBytes) {
+      throwIo("cannot write spill segment header", path_);
+    }
+  }
+  const std::size_t recordBytes = kMaxRecordHeaderBytes + len;
+  if (!file && buf_.size() + recordBytes > buf_.capacity()) {
+    // Memory-backed: double the stream until it would pass
+    // kMemSegmentBytes, then roll over; a task that filled one segment
+    // starts the next at full size.
+    std::size_t cap = std::max<std::size_t>(2 * buf_.capacity(), 4096);
+    if (records_ != 0 && buf_.size() + recordBytes > kMemSegmentBytes) {
+      seal();
+      cap = kMemSegmentBytes;
+    }
+    buf_.reserve(std::max(std::min(cap, kMemSegmentBytes),
+                          buf_.size() + recordBytes));
+  }
   putU64(buf_, id);
   putU64(buf_, flightCount);
   putU64(buf_, len);
@@ -154,86 +179,120 @@ void SpillSegmentWriter::add(std::uint64_t id, std::uint32_t flightCount,
   records_ += 1;
   payloadBytes_ += len;
   flightSum_ += flightCount;
-  if (buf_.size() >= kWriterFlushBytes) flushBuf();
+  if (file) {
+    if (buf_.size() >= kWriterFlushBytes) flushBuf();
+    if (records_ >= kSegmentRecordCap) seal();
+  }
 }
 
-void SpillSegmentWriter::flushBuf() {
+void SegmentWriter::flushBuf() {
   if (buf_.empty()) return;
   if (std::fwrite(buf_.data(), 1, buf_.size(), f_) != buf_.size()) {
     throwIo("cannot write spill segment", path_);
   }
-  fileBytes_ += buf_.size();
   buf_.clear();
 }
 
-SegmentInfo SpillSegmentWriter::seal() {
-  LCDC_EXPECT(!sealed_, "spill segment sealed twice");
-  flushBuf();
-  std::byte header[kSpillHeaderBytes] = {};
-  std::memcpy(header, kSpillMagic, 8);
-  putLE32(header + 8, kSpillVersion);
-  putLE32(header + 12, 0);
-  putLE64(header + 16, digest_);
-  putLE64(header + 24, records_);
-  putLE64(header + 32, payloadBytes_);
-  putLE64(header + 40, flightSum_);
-  if (std::fseek(f_, 0, SEEK_SET) != 0 ||
-      std::fwrite(header, 1, kSpillHeaderBytes, f_) != kSpillHeaderBytes ||
-      std::fflush(f_) != 0) {
-    throwIo("cannot seal spill segment", path_);
-  }
-  std::fclose(f_);
-  f_ = nullptr;
-  sealed_ = true;
+void SegmentWriter::seal() {
+  if (records_ == 0) return;
   SegmentInfo info;
-  info.path = path_;
   info.records = records_;
   info.flightSum = flightSum_;
   info.payloadBytes = payloadBytes_;
-  return info;
+  if (f_ == nullptr) {
+    // A task's last segment stops short of its doubled capacity.
+    if (buf_.capacity() - buf_.size() > buf_.size() / 4) buf_.shrink_to_fit();
+    info.bytes = std::move(buf_);
+    buf_ = {};
+  } else {
+    flushBuf();
+    std::byte header[kSpillHeaderBytes] = {};
+    std::memcpy(header, kSpillMagic, 8);
+    putLE32(header + 8, kSpillVersion);
+    putLE32(header + 12, 0);
+    putLE64(header + 16, digest_);
+    putLE64(header + 24, records_);
+    putLE64(header + 32, payloadBytes_);
+    putLE64(header + 40, flightSum_);
+    if (std::fseek(f_, 0, SEEK_SET) != 0 ||
+        std::fwrite(header, 1, kSpillHeaderBytes, f_) != kSpillHeaderBytes ||
+        std::fflush(f_) != 0) {
+      throwIo("cannot seal spill segment", path_);
+    }
+    std::fclose(f_);
+    f_ = nullptr;
+    info.path = path_;
+  }
+  sealed_.push_back(std::move(info));
+  records_ = 0;
+  payloadBytes_ = 0;
+  flightSum_ = 0;
 }
 
-// -- SpillSegmentReader ------------------------------------------------------
+std::vector<SegmentInfo> SegmentWriter::finish() {
+  seal();
+  return std::move(sealed_);
+}
 
-SpillSegmentReader::SpillSegmentReader(const std::string& path,
-                                       std::uint64_t expectDigest) {
+// -- SegmentReader -----------------------------------------------------------
+
+SegmentReader::SegmentReader(const SegmentInfo& seg,
+                             std::uint64_t expectDigest)
+    : records_(seg.records) {
+  if (seg.path.empty()) {
+    map_ = seg.bytes.data();
+    mapLen_ = seg.bytes.size();
+    return;
+  }
+  const std::string& path = seg.path;
   Mapping m = mapFile(path);
   fd_ = m.fd;
   map_ = m.data;
   mapLen_ = m.len;
+  pos_ = kSpillHeaderBytes;
+  const auto fail = [&](const std::string& what) {
+    unmapFile(m);
+    throw SimError(what + path);
+  };
   if (mapLen_ < kSpillHeaderBytes) {
-    throw SimError("spill segment truncated (no header): " + path);
+    fail("spill segment truncated (no header): ");
   }
   if (std::memcmp(map_, kSpillMagic, 8) != 0) {
-    throw SimError("spill segment has wrong magic: " + path);
+    fail("spill segment has wrong magic: ");
   }
   const std::uint32_t version = getLE32(map_ + 8);
   if (version != kSpillVersion) {
-    throw SimError("spill segment version mismatch in " + path + ": got " +
-                   std::to_string(version) + ", want " +
-                   std::to_string(kSpillVersion));
+    fail("spill segment version mismatch (got " + std::to_string(version) +
+         ", want " + std::to_string(kSpillVersion) + "): ");
   }
-  const std::uint64_t digest = getLE64(map_ + 16);
-  if (digest != expectDigest) {
-    throw SimError(
-        "spill segment was written for a different configuration: " + path);
+  if (getLE64(map_ + 16) != expectDigest) {
+    fail("spill segment was written for a different configuration: ");
   }
-  records_ = getLE64(map_ + 24);
-  payloadBytes_ = getLE64(map_ + 32);
-  flightSum_ = getLE64(map_ + 40);
-  pos_ = kSpillHeaderBytes;
-  if (payloadBytes_ > mapLen_) {
-    throw SimError("spill segment truncated (payload past end): " + path);
+  const std::uint64_t payloadBytes = getLE64(map_ + 32);
+  if (payloadBytes > mapLen_) {
+    fail("spill segment truncated (payload past end): ");
+  }
+  // A freshly sealed segment always agrees with its catalogue entry; a
+  // mismatch means the file or the checkpoint manifest was altered after
+  // the seal.
+  if (getLE64(map_ + 24) != seg.records ||
+      getLE64(map_ + 40) != seg.flightSum ||
+      payloadBytes != seg.payloadBytes) {
+    fail("spill segment header disagrees with its catalogue entry "
+         "(corrupt segment or manifest): ");
   }
 }
 
-SpillSegmentReader::~SpillSegmentReader() {
+SegmentReader::~SegmentReader() {
+  if (fd_ < 0) return;  // memory-backed: nothing mapped
   Mapping m{fd_, map_, mapLen_};
   unmapFile(m);
 }
 
-bool SpillSegmentReader::next(Record& r) {
-  if (read_ == records_) return false;
+void SegmentReader::next(Record& r) {
+  if (read_ == records_) {
+    throw SimError("spill segment read past its last record");
+  }
   trace::codec::Reader rd{map_, mapLen_, pos_};
   r.id = rd.u64();
   r.flightCount = rd.u32();
@@ -245,7 +304,6 @@ bool SpillSegmentReader::next(Record& r) {
   r.len = static_cast<std::uint32_t>(len);
   pos_ = rd.pos + static_cast<std::size_t>(len);
   read_ += 1;
-  return true;
 }
 
 // -- VisitedLogWriter / VisitedLogReader -------------------------------------

@@ -1,15 +1,16 @@
-// Out-of-core storage for the model checker (DESIGN.md §14): spill
-// segments holding one wave's frontier blobs on disk, the append-only
-// visited log, the bitstate dump, and the checkpoint manifest tying them
-// together.
+// Frontier storage and out-of-core storage for the model checker
+// (DESIGN.md §9, §14): the segments holding one wave's frontier records,
+// the append-only visited log, the bitstate dump, and the checkpoint
+// manifest tying them together.
 //
-// A *spill segment* is one chunk's worth of next-wave frontier records,
-// written append-only while the chunk expands and sealed at the wave
-// barrier.  Draining the next wave reads the sealed segments back in
-// chunk order through mmap, so the concatenation of segment records is
-// byte-for-byte the same frontier sequence the in-RAM engine builds in
-// its ping-pong arenas — which is the whole determinism argument for
-// `--visited exact` + spill matching the in-RAM engine for any `--jobs`.
+// A *segment* is a sealed run of next-wave frontier records, written
+// append-only by one expansion task and read back in task order by the
+// next wave, so the concatenation of segment records is the frontier
+// sequence.  Segments are the model checker's only frontier
+// representation: without `--spill` they stay in process memory, with it
+// they are files read back through mmap.  The record stream is the same
+// either way, which is why counts and verdicts match between the two
+// backings for any `--jobs`.
 //
 // Segment file layout (all integers little-endian):
 //   48-byte header: magic "LCSPILL1", u32 version, u32 reserved,
@@ -17,10 +18,11 @@
 //                   u64 payload bytes, u64 flight-count sum
 //   records:        varint state id, varint flightCount,
 //                   varint blobLen, blobLen bytes (WorldCodec blob)
-// The header is patched on seal; readers validate magic/version/digest
-// and bound every varint read, throwing SimError (never UB or invariant
-// aborts) on truncated, corrupt, or version-mismatched input — the same
-// contract the fuzz corpus format established in PR 8.
+// A memory-backed segment holds just the records.  The header is patched
+// on seal; readers validate magic/version/digest and bound every varint
+// read, throwing SimError (never UB or invariant aborts) on truncated,
+// corrupt, or version-mismatched input — the same contract the fuzz
+// corpus format established in PR 8.
 //
 // The *checkpoint manifest* (`MANIFEST`, text, written tmp+rename so a
 // kill mid-checkpoint leaves the previous checkpoint intact) records the
@@ -51,53 +53,58 @@ struct McConfig;
 
 inline constexpr std::uint32_t kSpillVersion = 1;
 
-/// A sealed segment as listed in a wave's frontier (order matters).
+/// A sealed segment as listed in a wave's frontier (order matters).  Its
+/// records live in a file (`path`) or, for a memory-backed segment
+/// (`path` empty), in `bytes` — the same record stream without the
+/// file header.
 struct SegmentInfo {
   std::string path;
   std::uint64_t records = 0;
   std::uint64_t flightSum = 0;
   std::uint64_t payloadBytes = 0;
+  std::vector<std::byte> bytes;
 };
 
-/// Append-only writer for one spill segment.  Single-threaded (each
-/// expansion chunk owns its writer); buffers in memory and flushes to
-/// the file in large writes.  `seal()` patches the header and closes;
-/// destroying an unsealed writer removes the partial file.
-class SpillSegmentWriter {
+/// Append-only writer for one expansion task's successor records: a run
+/// of sealed segments, in order.  With a non-empty `pathBase` the
+/// segments are files `pathBase-<n>.seg` of at most 2^16 records, written
+/// through a buffer flushed in large writes; with an empty one they stay
+/// in process memory as record streams of about 1 MiB.
+/// Single-threaded (each task owns its writer); destroying a writer with
+/// an unsealed file removes the partial file.
+class SegmentWriter {
  public:
-  SpillSegmentWriter(std::string path, std::uint64_t configDigest);
-  ~SpillSegmentWriter();
-  SpillSegmentWriter(const SpillSegmentWriter&) = delete;
-  SpillSegmentWriter& operator=(const SpillSegmentWriter&) = delete;
+  SegmentWriter(std::string pathBase, std::uint64_t configDigest);
+  ~SegmentWriter();
+  SegmentWriter(const SegmentWriter&) = delete;
+  SegmentWriter& operator=(const SegmentWriter&) = delete;
 
   void add(std::uint64_t id, std::uint32_t flightCount, const std::byte* blob,
            std::size_t len);
-  /// Flush, patch the header with the final counts, close.  Returns the
-  /// segment's catalogue entry.
-  [[nodiscard]] SegmentInfo seal();
-
-  [[nodiscard]] std::uint64_t records() const { return records_; }
-  [[nodiscard]] std::uint64_t bytesWritten() const { return fileBytes_; }
-  /// Current in-memory buffer footprint (counted by --mem-limit-mb).
-  [[nodiscard]] std::size_t bufferBytes() const { return buf_.capacity(); }
+  /// Seal the open segment and hand over every sealed one, in order.
+  [[nodiscard]] std::vector<SegmentInfo> finish();
 
  private:
+  void seal();
   void flushBuf();
 
-  std::string path_;
+  std::string pathBase_;
+  std::string path_;  ///< open file-backed segment
   std::uint64_t digest_ = 0;
+  std::uint32_t seq_ = 0;
   std::FILE* f_ = nullptr;
   std::vector<std::byte> buf_;
   std::uint64_t records_ = 0;
   std::uint64_t payloadBytes_ = 0;
   std::uint64_t flightSum_ = 0;
-  std::uint64_t fileBytes_ = 0;
-  bool sealed_ = false;
+  std::vector<SegmentInfo> sealed_;
 };
 
-/// mmap-backed reader over a sealed segment.  Validates the header on
-/// open and bounds every record read; all failure modes raise SimError.
-class SpillSegmentReader {
+/// Reader over a sealed segment, file-backed (mmap) or memory-backed.  A
+/// file is validated on open against both its own header and the
+/// catalogue entry; every record read is bounded, and all failure modes
+/// raise SimError.
+class SegmentReader {
  public:
   struct Record {
     std::uint64_t id = 0;
@@ -106,17 +113,13 @@ class SpillSegmentReader {
     std::uint32_t len = 0;
   };
 
-  SpillSegmentReader(const std::string& path, std::uint64_t expectDigest);
-  ~SpillSegmentReader();
-  SpillSegmentReader(const SpillSegmentReader&) = delete;
-  SpillSegmentReader& operator=(const SpillSegmentReader&) = delete;
+  SegmentReader(const SegmentInfo& seg, std::uint64_t expectDigest);
+  ~SegmentReader();
+  SegmentReader(const SegmentReader&) = delete;
+  SegmentReader& operator=(const SegmentReader&) = delete;
 
-  /// Advance to the next record; false once `records()` have been read.
-  [[nodiscard]] bool next(Record& r);
-
-  [[nodiscard]] std::uint64_t records() const { return records_; }
-  [[nodiscard]] std::uint64_t flightSum() const { return flightSum_; }
-  [[nodiscard]] std::uint64_t payloadBytes() const { return payloadBytes_; }
+  /// Read the next record; SimError past the last one.
+  void next(Record& r);
 
  private:
   int fd_ = -1;
@@ -125,8 +128,6 @@ class SpillSegmentReader {
   std::size_t pos_ = 0;
   std::uint64_t records_ = 0;
   std::uint64_t read_ = 0;
-  std::uint64_t flightSum_ = 0;
-  std::uint64_t payloadBytes_ = 0;
 };
 
 /// Append-only log of visited-state records, one per state id in id

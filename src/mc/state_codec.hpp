@@ -1,6 +1,6 @@
 // Bit-packed canonical state encoding — the binary replacement for the
-// text canonical key (see `legacy_key.hpp` for the preserved original and
-// DESIGN.md §9 for the layout and the equivalence argument).
+// text canonical key (see `tests/legacy_key.hpp` for the preserved
+// original and DESIGN.md §9 for the layout and the equivalence argument).
 //
 // The codec encodes exactly the fields the string key encoded — the
 // protocol-control projection of a `World` (clocks, raw txn ids, serials,
@@ -21,8 +21,8 @@
 //     allocations, no heap traffic beyond two reused scratch vectors.
 //
 // Two different worlds get equal encodings iff they got equal legacy
-// string keys (the codec tests check this against `LegacyCanonicalizer`
-// over sampled reachable states), which is what keeps the binary engine's
+// string keys (the codec tests check this against the preserved key over
+// sampled reachable states), which is what keeps the binary engine's
 // state counts byte-identical to the old engine's.
 #pragma once
 

@@ -11,8 +11,9 @@
 // Before this codec the frontier held live `World` values: per state,
 // two controller vectors of hash maps, message vectors, stamp vectors —
 // roughly 1.5-2 KB across ~15 heap allocations.  A varint blob is
-// ~150-300 B in one arena allocation, which is where most of the
-// resident-memory reduction comes from (EXPERIMENTS.md S12).
+// ~150-300 B appended to a frontier segment's record stream, which is
+// where most of the resident-memory reduction comes from (EXPERIMENTS.md
+// S12).
 //
 // Controller statistics are not serialized (nothing in the checker reads
 // them); a loaded world restarts its stats at zero.

@@ -6,7 +6,7 @@
 //      of a reachable state — the bit layout loses nothing it stores.
 //   2. Key equivalence: two reachable worlds get equal binary encodings
 //      iff they get equal *legacy string* keys (the old engine's visited
-//      key, preserved verbatim in `legacy_key.hpp`).  This is the 1:1
+//      key, preserved verbatim in `tests/legacy_key.hpp`).  This is the 1:1
 //      class correspondence that makes the binary engine's state counts
 //      provably byte-identical to the string engine's.
 //
@@ -21,7 +21,7 @@
 #include <string>
 #include <vector>
 
-#include "mc/legacy_key.hpp"
+#include "legacy_key.hpp"
 #include "mc/state_codec.hpp"
 #include "mc/world.hpp"
 

@@ -78,6 +78,9 @@ TEST(Spill, MatchesInRamEngineOnGoldenConfigsForAnyJobs) {
     ram.modelData = c.modelData;
     ram.maxDepth = c.maxDepth;
     const mc::McResult base = mc::explore(ram);
+    EXPECT_EQ(base.perf.spillSegments, 0u) << "in-memory runs spill nothing";
+    EXPECT_EQ(base.perf.spillBytesWritten, 0u);
+    std::uint64_t segments[5] = {};
     for (const unsigned jobs : {1u, 2u, 4u}) {
       TempDir dir("spill_golden");
       mc::McConfig sp = ram;
@@ -90,6 +93,15 @@ TEST(Spill, MatchesInRamEngineOnGoldenConfigsForAnyJobs) {
       expectSameCounts(base, r, label);
       EXPECT_GT(r.perf.spillSegments, 0u) << label;
       EXPECT_GT(r.perf.spillBytesWritten, 0u) << label;
+      segments[jobs] = r.perf.spillSegments;
+    }
+    // A spilled wave is cut into the same record-range tasks as an
+    // in-memory one, each writing its own segments.  Past 8 tasks of 64
+    // states, 4 jobs cut a wave into more tasks than 1 job does.
+    if (base.frontierPeak > 8 * 64) {
+      EXPECT_GT(segments[4], segments[1])
+          << c.procs << "x" << c.blocks << ": spilled waves must split "
+          << "across jobs";
     }
   }
 }
@@ -97,9 +109,9 @@ TEST(Spill, MatchesInRamEngineOnGoldenConfigsForAnyJobs) {
 // State-capped runs stop at a wave boundary, so the wave-synchronous
 // counts (states explored, waves, frontier peak) are pinned.  The
 // *transition* total of the final partial wave is not: frontier order
-// within a wave depends on chunk scheduling (pre-existing engine
-// behaviour, identical for the in-RAM arenas), so the cap cuts a
-// scheduling-dependent prefix.  Only assert what the engine guarantees.
+// within a wave depends on chunk scheduling (engine behaviour, the same
+// for in-memory segments), so the cap cuts a scheduling-dependent
+// prefix.  Only assert what the engine guarantees.
 TEST(Spill, StateCapStopsAtTheSameWaveBoundaryAsInRam) {
   mc::McConfig ram = baseConfig(3, 1);
   ram.maxStates = 5'000;
@@ -135,17 +147,23 @@ TEST(Spill, MutantVerdictSurvivesSpilling) {
 }
 
 TEST(Spill, DrainedRunLeavesNoSegmentsBehind) {
-  TempDir dir("spill_cleanup");
-  mc::McConfig cfg = baseConfig(2, 1);
-  cfg.spillDir = dir.path;
-  const mc::McResult r = mc::explore(cfg);
-  EXPECT_TRUE(r.ok());
-  std::size_t files = 0;
-  for (const auto& e : fs::directory_iterator(dir.path)) {
-    (void)e;
-    ++files;
+  // A completed run, and a memory-limited one without a checkpoint to
+  // resume from (nothing references its pending wave).
+  mc::McConfig limited = baseConfig(3, 1);
+  limited.memLimitMb = 12;
+  for (mc::McConfig cfg : {baseConfig(2, 1), limited}) {
+    TempDir dir("spill_cleanup");
+    cfg.spillDir = dir.path;
+    const mc::McResult r = mc::explore(cfg);
+    EXPECT_TRUE(r.ok());
+    EXPECT_EQ(r.memLimitHit, cfg.memLimitMb != 0);
+    std::size_t files = 0;
+    for (const auto& e : fs::directory_iterator(dir.path)) {
+      (void)e;
+      ++files;
+    }
+    EXPECT_EQ(files, 0u) << "segments must be deleted as waves drain";
   }
-  EXPECT_EQ(files, 0u) << "segments must be deleted as waves drain";
 }
 
 // A checkpoint pins its pending wave's segments on disk; once a newer

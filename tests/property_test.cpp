@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <tuple>
 
@@ -43,6 +44,12 @@ std::string paramName(const testing::TestParamInfo<SweepParam>& info) {
          std::to_string(info.param.capacity) +
          (info.param.putShared ? "_ps" : "_nops") + "_s" +
          std::to_string(info.param.seed);
+}
+
+// Print the parameter as its case name: the default byte dump includes the
+// name and generator pointers, which differ from process to process.
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  *os << paramName(testing::TestParamInfo<SweepParam>(p, 0));
 }
 
 class ProtocolSweep : public testing::TestWithParam<SweepParam> {};

@@ -2,6 +2,7 @@
 // uniqueness (required by the SC replay), bounds, and mix calibration.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "workload/generators.hpp"
@@ -19,7 +20,20 @@ WorkloadConfig baseCfg() {
   return w;
 }
 
-using Maker = std::vector<Program> (*)(const WorkloadConfig&);
+using MakerFn = std::vector<Program> (*)(const WorkloadConfig&);
+
+// A generator with its name, so the parameter prints the same in every
+// process (a bare function pointer prints as its ASLR-dependent address,
+// which would leak into the discovered ctest names).
+struct Maker {
+  const char* name;
+  MakerFn make;
+  std::vector<Program> operator()(const WorkloadConfig& c) const {
+    return make(c);
+  }
+};
+
+void PrintTo(const Maker& m, std::ostream* os) { *os << m.name; }
 
 std::vector<Program> hotDefault(const WorkloadConfig& c) {
   return hotBlock(c);
@@ -70,16 +84,17 @@ TEST_P(GeneratorSuite, AllStepsWithinBounds) {
 }
 
 std::string generatorName(const testing::TestParamInfo<Maker>& paramInfo) {
-  static const char* const names[] = {"uniform",    "hot",        "prodcons",
-                                      "migratory",  "falseshare", "readmostly"};
-  return names[paramInfo.index];
+  return paramInfo.param.name;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllGenerators, GeneratorSuite,
-                         testing::Values(&uniformRandom, &hotDefault,
-                                         &producerConsumer, &migratory,
-                                         &falseSharing, &readMostly),
-                         generatorName);
+INSTANTIATE_TEST_SUITE_P(
+    AllGenerators, GeneratorSuite,
+    testing::Values(Maker{"uniform", &uniformRandom}, Maker{"hot", &hotDefault},
+                    Maker{"prodcons", &producerConsumer},
+                    Maker{"migratory", &migratory},
+                    Maker{"falseshare", &falseSharing},
+                    Maker{"readmostly", &readMostly}),
+    generatorName);
 
 TEST(UniformRandom, MixRoughlyMatchesConfig) {
   WorkloadConfig cfg = baseCfg();

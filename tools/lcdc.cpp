@@ -353,7 +353,7 @@ void printMcPerf(const mc::McResult& r) {
             << " enc B/state)\n"
             << "perf: visited bytes " << r.visitedBytes << " ("
             << per(r.visitedBytes, p.storedStates)
-            << " B/state), frontier-arena peak " << r.frontierBytesPeak
+            << " B/state), frontier bytes peak " << r.frontierBytesPeak
             << " B\n"
             << "perf: tracked peak " << r.trackedBytesPeak
             << " B, process peak RSS " << r.peakRssBytes << " B\n"
