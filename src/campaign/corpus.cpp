@@ -127,10 +127,11 @@ CaseSpec parseEntry(const std::string& text) {
     if (magic != "lcdc-corpus") {
       throw SimError("corpus entry: bad magic '" + magic + "'");
     }
-    if (version != "v" + std::to_string(kCorpusVersion)) {
+    const std::string want = std::to_string(kCorpusVersion);
+    if (version.size() != want.size() + 1 || version[0] != 'v' ||
+        version.compare(1, want.size(), want) != 0) {
       throw SimError("corpus entry: unsupported format version '" + version +
-                     "' (this build reads v" +
-                     std::to_string(kCorpusVersion) + ")");
+                     "' (this build reads v" + want + ")");
     }
   }
 

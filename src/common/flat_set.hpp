@@ -5,18 +5,12 @@
 // parallel flat slabs with linear probing.  Insertion claims a slot by
 // CAS on the fingerprint word, then publishes the payload with a release
 // store; racing inserters of the same fingerprint spin briefly on the
-// payload and then run the caller-supplied byte-equality check, so a
-// fingerprint collision degrades to an extra probe instead of a lost
-// state (full encodings are compared, never trusted to the hash alone).
-//
-// Visited modes (DESIGN.md §14):
-//   * `Mode::Exact` — the behaviour above: fingerprint hit falls back to
-//     a caller byte-equality check, so the set is lossless.
-//   * `Mode::Compact` — hash compaction: a fingerprint hit IS a
-//     duplicate; the equality callback is never invoked and no encoding
-//     needs to be retained.  Two distinct states sharing a 64-bit
-//     fingerprint silently merge — the expected number of such merges is
-//     bounded by n(n-1)/2 / 2^64 and reported as the omission bound.
+// payload and then run the caller-supplied equality check.  Whether a
+// fingerprint hit is trusted is the caller's choice, made in that check:
+// comparing full encodings makes the set lossless (a collision costs an
+// extra probe, never a lost state), while an always-true check is hash
+// compaction (DESIGN.md §14), where two states sharing a 64-bit
+// fingerprint merge.
 //
 // Concurrency contract:
 //   * `insert`/`find` may run from any number of threads concurrently.
@@ -91,17 +85,13 @@ class FlatFingerprintSet {
   /// and the run must switch to `--visited bitstate`).
   static constexpr std::uint32_t kMaxPayload = 0xFFFFFFFDu;
 
-  enum class Mode : std::uint8_t { Exact, Compact };
-
   struct InsertResult {
     std::uint32_t payload = 0;
     bool inserted = false;
     std::uint32_t probes = 0;  ///< extra slots visited past the home slot
   };
 
-  explicit FlatFingerprintSet(std::size_t initialCapacity = 1u << 16,
-                              Mode mode = Mode::Exact)
-      : mode_(mode) {
+  explicit FlatFingerprintSet(std::size_t initialCapacity = 1u << 16) {
     std::size_t cap = 64;
     while (cap < initialCapacity) cap <<= 1;
     rebuild(cap);
@@ -113,11 +103,9 @@ class FlatFingerprintSet {
   /// Insert fingerprint `fp`.  On winning an empty slot, calls
   /// `assign()` exactly once to produce the payload (the caller stores
   /// the full encoding there) and publishes it.  On finding an occupied
-  /// slot with the same fingerprint: in Exact mode, waits for that slot's
-  /// payload and calls `equals(payload)` — a `false` answer (true 64-bit
-  /// collision) continues the probe instead of deduplicating; in Compact
-  /// mode the fingerprint match alone deduplicates and `equals` is never
-  /// invoked.
+  /// slot with the same fingerprint, waits for that slot's payload and
+  /// calls `equals(payload)` — a `false` answer (true 64-bit collision)
+  /// continues the probe instead of deduplicating.
   template <typename EqualsFn, typename AssignFn>
   InsertResult insert(std::uint64_t fp, EqualsFn&& equals, AssignFn&& assign) {
     fp = normalize(fp);
@@ -146,9 +134,7 @@ class FlatFingerprintSet {
       }
       if (cur == fp) {
         const std::uint32_t payload = waitPayload(idx);
-        if (mode_ == Mode::Compact || equals(payload)) {
-          return {payload, false, probes};
-        }
+        if (equals(payload)) return {payload, false, probes};
         // Same fingerprint, different state bytes: keep probing.
       }
       idx = (idx + 1) & mask_;
@@ -158,8 +144,7 @@ class FlatFingerprintSet {
   }
 
   /// Lookup without inserting (used by the POR visited-before-wave
-  /// proviso).  Returns the payload if a byte-equal entry is present
-  /// (Compact mode: if the fingerprint is present).
+  /// proviso).  Returns the payload of the entry `equals` accepts.
   template <typename EqualsFn>
   std::optional<std::uint32_t> find(std::uint64_t fp, EqualsFn&& equals) const {
     fp = normalize(fp);
@@ -170,7 +155,7 @@ class FlatFingerprintSet {
       if (cur == kEmpty) return std::nullopt;
       if (cur == fp) {
         const std::uint32_t payload = waitPayload(idx);
-        if (mode_ == Mode::Compact || equals(payload)) return payload;
+        if (equals(payload)) return payload;
       }
       idx = (idx + 1) & mask_;
       ++probes;
@@ -182,10 +167,8 @@ class FlatFingerprintSet {
   /// <= 50% load, rehashing into a larger slab if needed.  Must not run
   /// concurrently with insert/find.
   void reserveFor(std::size_t extra) {
-    const std::size_t need = size_.load(std::memory_order_relaxed) + extra;
-    if (need * 2 <= capacity_) return;
-    std::size_t cap = capacity_;
-    while (need * 2 > cap) cap <<= 1;
+    const std::size_t cap = capacityFor(extra);
+    if (cap == capacity_) return;
     auto oldFps = std::move(fps_);
     auto oldPayloads = std::move(payloads_);
     const std::size_t oldCap = capacity_;
@@ -229,29 +212,34 @@ class FlatFingerprintSet {
     return size_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::size_t bytes() const {
-    return capacity_ * (sizeof(std::uint64_t) + sizeof(std::uint32_t));
-  }
+  [[nodiscard]] std::size_t bytes() const { return capacity_ * kSlotBytes; }
   /// Slab bytes after a hypothetical `reserveFor(extra)` — what the
   /// memory-limit check charges for the coming wave, so the rehash
   /// transient (old + new slab live at once) never silently overshoots
   /// `--mem-limit-mb`.
   [[nodiscard]] std::size_t bytesAfterReserve(std::size_t extra) const {
-    const std::size_t need = size_.load(std::memory_order_relaxed) + extra;
-    if (need * 2 <= capacity_) return bytes();
-    std::size_t cap = capacity_;
-    while (need * 2 > cap) cap <<= 1;
+    const std::size_t cap = capacityFor(extra);
     // During the rehash both slabs are live: charge the sum.
-    return (cap + capacity_) * (sizeof(std::uint64_t) + sizeof(std::uint32_t));
+    return cap == capacity_ ? bytes() : (cap + capacity_) * kSlotBytes;
   }
-  [[nodiscard]] Mode mode() const { return mode_; }
 
  private:
   static constexpr std::uint64_t kEmpty = 0;
+  static constexpr std::size_t kSlotBytes =
+      sizeof(std::uint64_t) + sizeof(std::uint32_t);
+
+  /// Smallest power-of-two capacity holding `extra` more entries at <= 50%
+  /// load (the current one when it already does).
+  [[nodiscard]] std::size_t capacityFor(std::size_t extra) const {
+    const std::size_t need = size_.load(std::memory_order_relaxed) + extra;
+    std::size_t cap = capacity_;
+    while (need * 2 > cap) cap <<= 1;
+    return cap;
+  }
 
   /// Fingerprint 0 is the empty-slot marker; remap a real hash of 0 to an
-  /// arbitrary fixed odd constant (still compared against full bytes, so
-  /// this costs at most a fallback comparison).
+  /// arbitrary fixed odd constant (still checked by `equals`, so this
+  /// costs at most a fallback comparison).
   static std::uint64_t normalize(std::uint64_t fp) {
     return fp != kEmpty ? fp : 0x9E3779B97F4A7C15ULL;
   }
@@ -280,7 +268,6 @@ class FlatFingerprintSet {
   std::size_t capacity_ = 0;
   std::size_t mask_ = 0;
   std::atomic<std::size_t> size_{0};
-  Mode mode_ = Mode::Exact;
 };
 
 /// Holzmann-style bitstate (supertrace) filter: a power-of-two Bloom

@@ -64,11 +64,6 @@ class Rng {
     return uniform(0, denom - 1) < numer;
   }
 
-  /// Uniform double in [0, 1).
-  constexpr double uniformReal() {
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-  }
-
   /// Derive an independent child generator (for per-component streams).
   [[nodiscard]] constexpr Rng fork() {
     std::uint64_t seed = (*this)();

@@ -57,9 +57,6 @@ class ThreadPool {
   /// worker thread (it would deadlock on its own pending task).
   void wait();
 
-  [[nodiscard]] unsigned threadCount() const {
-    return static_cast<unsigned>(workers_.size());
-  }
   [[nodiscard]] PoolStats stats() const;
 
  private:

@@ -7,7 +7,6 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -15,13 +14,13 @@
 #include <set>
 #include <sstream>
 
-#include "common/arena.hpp"
 #include "common/expect.hpp"
 #include "common/flat_set.hpp"
 #include "common/thread_pool.hpp"
 #include "mc/spill.hpp"
 #include "mc/state_codec.hpp"
 #include "mc/tardis_mc.hpp"
+#include "mc/visited.hpp"
 #include "mc/world.hpp"
 #include "mc/world_codec.hpp"
 #include "proto/cache.hpp"
@@ -30,45 +29,6 @@
 namespace lcdc::mc {
 
 namespace {
-
-// -- packed parent edges -----------------------------------------------------
-//
-// 4-byte parent id + the action in one 64-bit word: kind(2) |
-// flightIndex(16) | dst(8) | msgType(4) | proc(8) | block(16) | req(2).
-// Node ids use 255 as the "no node" code; the explored configurations are
-// orders of magnitude below every field's range (asserted on pack).
-
-std::uint64_t packAction(const Action& a) {
-  const auto node8 = [](NodeId n) -> std::uint64_t {
-    if (n == kNoNode) return 0xFF;
-    LCDC_EXPECT(n < 0xFF, "node id exceeds packed-action range");
-    return n;
-  };
-  LCDC_EXPECT(a.flightIndex < 0xFFFF, "flight index exceeds packed range");
-  LCDC_EXPECT(a.block < 0xFFFF, "block id exceeds packed range");
-  return static_cast<std::uint64_t>(a.kind) |
-         (static_cast<std::uint64_t>(a.flightIndex) << 2) |
-         (node8(a.dst) << 18) |
-         (static_cast<std::uint64_t>(a.msgType) << 26) |
-         (node8(a.proc) << 30) |
-         (static_cast<std::uint64_t>(a.block) << 38) |
-         (static_cast<std::uint64_t>(a.req) << 54);
-}
-
-Action unpackAction(std::uint64_t v) {
-  const auto node = [](std::uint64_t b) -> NodeId {
-    return b == 0xFF ? kNoNode : static_cast<NodeId>(b);
-  };
-  Action a;
-  a.kind = static_cast<Action::Kind>(v & 0x3);
-  a.flightIndex = static_cast<std::uint32_t>((v >> 2) & 0xFFFF);
-  a.dst = node((v >> 18) & 0xFF);
-  a.msgType = static_cast<proto::MsgType>((v >> 26) & 0xF);
-  a.proc = node((v >> 30) & 0xFF);
-  a.block = static_cast<BlockId>((v >> 38) & 0xFFFF);
-  a.req = static_cast<ReqType>((v >> 54) & 0x3);
-  return a;
-}
 
 /// Optional steady-clock span accumulator (perf timing is opt-in).
 class ScopedNanos {
@@ -98,15 +58,12 @@ class ParallelExplorer {
  public:
   explicit ParallelExplorer(const McConfig& cfg)
       : cfg_(cfg),
-        mode_(cfg.visited),
         digest_(configDigest(cfg)),
-        visited_(1u << 16, cfg.visited == VisitedMode::Compact
-                               ? FlatFingerprintSet::Mode::Compact
-                               : FlatFingerprintSet::Mode::Exact) {
-    // `--checkpoint` (and `--resume`, which keeps checkpointing in
-    // place) implies spilling the frontier into the checkpoint dir so
-    // the manifest's segment list is self-contained.
-    checkpointing_ = !cfg_.checkpointDir.empty() || !cfg_.resumeDir.empty();
+        // `--checkpoint` (and `--resume`, which keeps checkpointing in
+        // place) implies spilling the frontier into the checkpoint dir so
+        // the manifest's segment list is self-contained.
+        checkpointing_(!cfg.checkpointDir.empty() || !cfg.resumeDir.empty()),
+        store_(cfg.visited, cfg.bitstateMb, checkpointing_) {
     ckptDir_ =
         !cfg_.checkpointDir.empty() ? cfg_.checkpointDir : cfg_.resumeDir;
     spillPath_ = checkpointing_ ? ckptDir_ : cfg_.spillDir;
@@ -117,12 +74,6 @@ class ParallelExplorer {
                        "': " + std::strerror(errno));
       }
     }
-    if (mode_ == VisitedMode::Bitstate) {
-      bloom_ = std::make_unique<BitstateFilter>(
-          std::max<std::uint64_t>(1, cfg_.bitstateMb));
-      waveClaim_ = std::make_unique<FlatFingerprintSet>(
-          1u << 16, FlatFingerprintSet::Mode::Compact);
-    }
   }
 
   McResult run();
@@ -132,12 +83,6 @@ class ParallelExplorer {
   struct Node {
     World w;
     std::uint32_t id = 0;
-  };
-
-  /// Where a visited state's canonical encoding lives (in encArena_).
-  struct EncRef {
-    const std::byte* ptr = nullptr;
-    std::uint32_t len = 0;
   };
 
   /// Seed of a counterexample: the leaf state plus (for violations thrown
@@ -178,7 +123,7 @@ class ParallelExplorer {
     std::uint64_t memBytes = 0;
   };
 
-  /// Per-worker state: codecs, a bump cursor into the encoding arena, and
+  /// Per-worker state: codecs, a bump cursor into the store's arena, and
   /// reused scratch buffers.  Strictly single-threaded while checked out.
   /// Contexts are pooled and reused across chunks and waves — a fresh
   /// context per chunk would abandon the tail of its current arena block
@@ -211,7 +156,7 @@ class ParallelExplorer {
       }
     }
     if (!ctx) {
-      ctx = std::make_unique<WorkerCtx>(cfg_, txns_, encArena_, cfg_.perf);
+      ctx = std::make_unique<WorkerCtx>(cfg_, txns_, store_.arena(), cfg_.perf);
     }
     return ctx;
   }
@@ -221,107 +166,27 @@ class ParallelExplorer {
     ctxPool_.push_back(std::move(ctx));
   }
 
-  static constexpr std::uint32_t kNoParent = 0xFFFFFFFEu;
-
-  /// Grow the per-id arrays (single-threaded, wave boundary only) so
-  /// every id this wave can assign has a slot; workers then write their
-  /// freshly claimed slots without further synchronization.  Exact mode
-  /// keeps encodings + parent edges; compact mode keeps only the
-  /// per-id fingerprint, and only while checkpointing (the visited log
-  /// needs fingerprints in id order); bitstate keeps nothing per id.
-  void growIdArrays(std::size_t needed) {
-    if (mode_ == VisitedMode::Exact) {
-      if (needed <= encs_.size()) return;
-      const std::size_t target = std::max(needed, encs_.size() * 2);
-      encs_.reserve(target);
-      parents_.reserve(target);
-      actions_.reserve(target);
-      encs_.resize(needed);
-      parents_.resize(needed);
-      actions_.resize(needed);
-    } else if (mode_ == VisitedMode::Compact && checkpointing_) {
-      if (needed <= fpsById_.size()) return;
-      fpsById_.reserve(std::max(needed, fpsById_.size() * 2));
-      fpsById_.resize(needed);
-    }
-  }
-
-  [[nodiscard]] bool encEquals(std::uint32_t payload,
-                               const std::vector<std::byte>& enc) const {
-    const EncRef& e = encs_[payload];
-    return e.len == enc.size() &&
-           std::memcmp(e.ptr, enc.data(), e.len) == 0;
-  }
-
-  /// Insert a state already canonically encoded in `enc`; on winning,
-  /// remember it according to the visited mode and append the world's
-  /// frontier record to the chunk's segments.
+  /// Claim a state already canonically encoded in `ctx.enc`; when it is
+  /// new, append the world's frontier record to the chunk's segments.
   void recordEncoded(const World& s, std::uint32_t parent, const Action& a,
                      WorkerCtx& ctx, ChunkOut& out) {
     const std::uint64_t fp =
         fingerprintHash(ctx.enc.data(), ctx.enc.size());
     out.perf.insertCalls += 1;
-    bool fresh = false;
-    std::uint32_t id = 0;
+    VisitedStore::Claim c;
     {
       ScopedNanos t(out.perf.insertNanos, ctx.timing);
-      if (mode_ == VisitedMode::Exact) {
-        const FlatFingerprintSet::InsertResult res = visited_.insert(
-            fp,
-            [&](std::uint32_t payload) { return encEquals(payload, ctx.enc); },
-            [&]() {
-              const std::uint32_t nid =
-                  nextId_.fetch_add(1, std::memory_order_relaxed);
-              std::byte* p = ctx.encRef.alloc(ctx.enc.size());
-              std::memcpy(p, ctx.enc.data(), ctx.enc.size());
-              encs_[nid] =
-                  EncRef{p, static_cast<std::uint32_t>(ctx.enc.size())};
-              parents_[nid] = parent;
-              actions_[nid] = packAction(a);
-              return nid;
-            });
-        out.perf.noteProbes(res.probes);
-        fresh = res.inserted;
-        id = res.payload;
-      } else if (mode_ == VisitedMode::Compact) {
-        const FlatFingerprintSet::InsertResult res = visited_.insert(
-            fp, [](std::uint32_t) { return true; },  // never called (Compact)
-            [&]() {
-              const std::uint32_t nid =
-                  nextId_.fetch_add(1, std::memory_order_relaxed);
-              if (checkpointing_) fpsById_[nid] = fp;
-              return nid;
-            });
-        out.perf.noteProbes(res.probes);
-        fresh = res.inserted;
-        id = res.payload;
-      } else {
-        // Bitstate: membership against the wave-start Bloom snapshot
-        // (bits are published only at the barrier, so the answer never
-        // depends on in-wave interleaving); in-wave newness arbitrated
-        // by the per-wave claim table, which is what keeps counts
-        // jobs-independent even for this lossy mode.
-        if (bloom_->testAll(fp)) {
-          out.perf.noteProbes(0);
-        } else {
-          const FlatFingerprintSet::InsertResult res = waveClaim_->insert(
-              fp, [](std::uint32_t) { return true; },
-              [&]() {
-                return claimNext_.fetch_add(1, std::memory_order_relaxed);
-              });
-          out.perf.noteProbes(res.probes);
-          fresh = res.inserted;
-        }
-      }
+      c = store_.claim(fp, ctx.enc, parent, packAction(a), ctx.encRef);
     }
-    if (!fresh) return;
+    out.perf.noteProbes(c.probes);
+    if (!c.inserted) return;
     out.perf.storedStates += 1;
     out.perf.storedEncodingBytes += ctx.enc.size();
     {
       ScopedNanos t(out.perf.worldSaveNanos, ctx.timing);
       ctx.wcodec.save(s, ctx.blob);
     }
-    out.writer->add(id, static_cast<std::uint32_t>(s.flight.size()),
+    out.writer->add(c.payload, static_cast<std::uint32_t>(s.flight.size()),
                     ctx.blob.data(), ctx.blob.size());
   }
 
@@ -333,31 +198,6 @@ class ParallelExplorer {
       ctx.codec.encode(s, ctx.enc);
     }
     recordEncoded(s, parent, a, ctx, out);
-  }
-
-  /// Was this canonical encoding inserted in a wave *before* the current
-  /// one?  The POR proviso consults this frozen horizon (`idWatermark_`:
-  /// ids are allocated monotonically, so "id < watermark" ⇔ "discovered
-  /// before this wave began") instead of the live set, keeping the ample
-  /// decision a pure function of the per-wave state sets, not of worker
-  /// timing.
-  [[nodiscard]] bool visitedBeforeWave(const std::vector<std::byte>& enc) {
-    const std::uint64_t fp = fingerprintHash(enc.data(), enc.size());
-    const auto found = visited_.find(
-        fp, [&](std::uint32_t payload) { return encEquals(payload, enc); });
-    return found.has_value() && *found < idWatermark_;
-  }
-
-  Schedule reconstructSchedule(const CexSeed& seed) {
-    Schedule rev;
-    std::uint32_t cur = seed.leaf;
-    while (parents_[cur] != kNoParent) {
-      rev.push_back(unpackAction(actions_[cur]));
-      cur = parents_[cur];
-    }
-    std::reverse(rev.begin(), rev.end());
-    if (seed.extra) rev.push_back(*seed.extra);
-    return rev;
   }
 
   void noteCex(ChunkOut& out, std::uint32_t leaf, std::optional<Action> extra,
@@ -592,7 +432,7 @@ class ParallelExplorer {
     std::sort(cands.begin(), cands.end(),
               [](const Cand& a, const Cand& b) { return a.enc < b.enc; });
     for (Cand& c : cands) {
-      if (visitedBeforeWave(c.enc)) continue;
+      if (store_.seenBeforeWave(c.enc)) continue;
       const Flight& f = w.flight[c.idx];
       Action a;
       a.kind = Action::Kind::Deliver;
@@ -747,52 +587,21 @@ class ParallelExplorer {
     releaseCtx(std::move(ctxOwner));
   }
 
-  /// Bytes currently committed to the visited structures the explorer
-  /// owns.  Plus the in-memory frontier segments, this is the quantity
-  /// `--mem-limit-mb` bounds.  (Transient per-chunk worlds and scratch are
-  /// not tracked; they are small and wave-independent.)
-  [[nodiscard]] std::uint64_t trackedBytesBase() const {
-    std::uint64_t b = visited_.bytes() + encArena_.bytesReserved() +
-                      encs_.capacity() * sizeof(EncRef) +
-                      parents_.capacity() * sizeof(std::uint32_t) +
-                      actions_.capacity() * sizeof(std::uint64_t) +
-                      fpsById_.capacity() * sizeof(std::uint64_t);
-    if (bloom_) b += bloom_->bytes();
-    if (waveClaim_) b += waveClaim_->bytes();
-    return b;
-  }
-
   /// Per-worker spill write-buffer allowance charged while a wave runs
   /// (flush threshold plus one oversized record of slack).
   static constexpr std::uint64_t kSpillWriterBudget = std::uint64_t{2} << 20;
 
   /// What the tracked bytes will be AFTER this wave's boundary growth:
-  /// the wave's in-memory segments plus visited-slab rehash (old + new
-  /// slab live during the copy), bitstate claim growth, id-array growth,
-  /// and the spill write buffers the workers are about to fill.  The
-  /// memory-limit verdict tests this projection BEFORE reserving, so the
-  /// growth transient itself can no longer overshoot `--mem-limit-mb` (it
-  /// used to: only post-growth arena bytes were counted).
+  /// the store's after `beginWave` (rehash transient included), the
+  /// wave's in-memory segments, and the spill write buffers the workers
+  /// are about to fill.  The memory-limit verdict tests this projection
+  /// BEFORE growing, so the growth itself cannot overshoot
+  /// `--mem-limit-mb`.  (Transient per-chunk worlds and scratch are not
+  /// tracked; they are small and wave-independent.)
   [[nodiscard]] std::uint64_t projectedTrackedBytes(const WaveSegs& wave,
                                                     std::uint64_t waveBound,
                                                     unsigned jobs) const {
-    std::uint64_t b = trackedBytesBase() + wave.memBytes;
-    b -= visited_.bytes();
-    b += visited_.bytesAfterReserve(static_cast<std::size_t>(waveBound));
-    if (waveClaim_) {
-      b -= waveClaim_->bytes();
-      b += waveClaim_->bytesAfterReserve(static_cast<std::size_t>(waveBound));
-    }
-    const std::size_t idsNeeded = static_cast<std::size_t>(
-        nextId_.load(std::memory_order_relaxed) + waveBound);
-    if (mode_ == VisitedMode::Exact && idsNeeded > encs_.capacity()) {
-      b += (idsNeeded - encs_.capacity()) *
-           (sizeof(EncRef) + sizeof(std::uint32_t) + sizeof(std::uint64_t));
-    }
-    if (mode_ == VisitedMode::Compact && checkpointing_ &&
-        idsNeeded > fpsById_.capacity()) {
-      b += (idsNeeded - fpsById_.capacity()) * sizeof(std::uint64_t);
-    }
+    std::uint64_t b = store_.bytesAfterBeginWave(waveBound) + wave.memBytes;
     if (spill_) b += static_cast<std::uint64_t>(jobs) * kSpillWriterBudget;
     return b;
   }
@@ -812,13 +621,6 @@ class ParallelExplorer {
                      std::to_string(chunk)
                : std::string(),
         digest_);
-  }
-
-  /// Bitstate barrier publication: fold the wave's claimed fingerprints
-  /// into the Bloom array (single-threaded; queries resume next wave).
-  void publishClaims() {
-    waveClaim_->forEachFingerprint(
-        [&](std::uint64_t fp) { bloom_->setAll(fp); });
   }
 
   void absorbSegs(ChunkOut& o, WaveSegs& next) {
@@ -854,59 +656,27 @@ class ParallelExplorer {
     w = WaveSegs{};
   }
 
-  /// Checkpoint at a wave boundary: append the not-yet-logged visited
-  /// records (id order), rewrite the bitstate dump, then atomically
-  /// publish a manifest pinning the pending wave's segments.  A kill at
-  /// any point leaves either the old manifest (with its files intact —
+  /// Checkpoint at a wave boundary: the store appends its new visited
+  /// records (or rewrites the bitstate dump), then a manifest pinning the
+  /// pending wave's segments is published atomically.  A kill at any
+  /// point leaves either the old manifest (with its files intact —
   /// deletion spares them) or the new one; the manifest's visited-log
   /// byte length truncates torn tails on resume.
   void writeCheckpoint(const WaveSegs& pending) {
-    if (!visitedLog_ && mode_ != VisitedMode::Bitstate) {
-      visitedLog_ = std::make_unique<VisitedLogWriter>(
-          ckptDir_ + "/visited.log", visitedLogBytes_);
-    }
-    const std::uint64_t nid = nextId_.load(std::memory_order_relaxed);
-    if (mode_ == VisitedMode::Exact) {
-      for (std::uint64_t id = loggedRecords_; id < nid; ++id) {
-        visitedLog_->appendExact(encs_[id].ptr, encs_[id].len, parents_[id],
-                                 actions_[id]);
-      }
-    } else if (mode_ == VisitedMode::Compact) {
-      for (std::uint64_t id = loggedRecords_; id < nid; ++id) {
-        visitedLog_->appendFp(fpsById_[id]);
-      }
-    }
-    if (mode_ != VisitedMode::Bitstate) {
-      const std::uint64_t before = visitedLogBytes_;
-      visitedLogBytes_ = visitedLog_->flush();
-      loggedRecords_ = nid;
-      result_.perf.checkpointBytes += visitedLogBytes_ - before;
-    } else {
-      writeBitstateFile(ckptDir_ + "/bitstate.bits", digest_,
-                        bloom_->hashCount(), bloom_->words());
-      result_.perf.checkpointBytes += bloom_->bytes();
-    }
     CheckpointManifest m;
+    result_.perf.checkpointBytes += store_.checkpoint(ckptDir_, digest_, m);
     m.configDigest = digest_;
-    m.visitedMode = toString(mode_);
     m.wavesCompleted = result_.wavesCompleted;
     m.statesExplored = result_.statesExplored;
     m.transitions = result_.transitions;
     m.frontierPeak = result_.frontierPeak;
     m.ampleStates = result_.ampleStates;
-    m.nextId = nid;
     m.txnNext = txns_.next.load(std::memory_order_relaxed);
     m.encodeCalls = result_.perf.encodeCalls;
     m.insertCalls = result_.perf.insertCalls;
     m.storedStates = result_.perf.storedStates;
     m.storedEncodingBytes = result_.perf.storedEncodingBytes;
     m.probeHist = result_.perf.probeHist;
-    m.visitedLogBytes = visitedLogBytes_;
-    m.visitedLogRecords = loggedRecords_;
-    if (mode_ == VisitedMode::Bitstate) {
-      m.bitstateWords = bloom_->words().size();
-      m.bitstateHashes = bloom_->hashCount();
-    }
     m.frontier = pending.segs;
     writeManifest(ckptDir_, m);
     protected_.clear();
@@ -934,10 +704,6 @@ class ParallelExplorer {
           "(config digest mismatch) — topology, protocol switches, "
           "reductions, and visited mode must match the checkpointed run");
     }
-    if (m.visitedMode != toString(mode_)) {
-      throw SimError("checkpoint visited mode is '" + m.visitedMode +
-                     "' but this run asked for '" + toString(mode_) + "'");
-    }
     result_.resumed = true;
     result_.statesExplored = m.statesExplored;
     result_.transitions = m.transitions;
@@ -950,120 +716,28 @@ class ParallelExplorer {
     result_.perf.storedEncodingBytes = m.storedEncodingBytes;
     result_.perf.probeHist = m.probeHist;
     txns_.next.store(m.txnNext, std::memory_order_relaxed);
-    nextId_.store(static_cast<std::uint32_t>(m.nextId),
-                  std::memory_order_relaxed);
-    if (mode_ == VisitedMode::Exact) {
-      if (m.visitedLogRecords != m.nextId) {
-        throw SimError(
-            "checkpoint manifest inconsistent: visited-log record count "
-            "does not match nextId");
-      }
-      visited_.reserveFor(static_cast<std::size_t>(m.visitedLogRecords));
-      growIdArrays(static_cast<std::size_t>(m.nextId));
-      VisitedLogReader rd(cfg_.resumeDir + "/visited.log", m.visitedLogBytes);
-      ArenaRef encRef(encArena_);
-      std::vector<std::byte> buf;
-      std::uint32_t parent = 0;
-      std::uint64_t action = 0;
-      std::uint64_t id = 0;
-      while (rd.nextExact(buf, parent, action)) {
-        if (id >= m.nextId) {
-          throw SimError(
-              "checkpoint visited log holds more records than nextId");
-        }
-        std::byte* p = encRef.alloc(buf.size());
-        std::memcpy(p, buf.data(), buf.size());
-        encs_[id] = EncRef{p, static_cast<std::uint32_t>(buf.size())};
-        parents_[id] = parent;
-        actions_[id] = action;
-        const std::uint64_t fp = fingerprintHash(buf.data(), buf.size());
-        const FlatFingerprintSet::InsertResult res = visited_.insert(
-            fp, [&](std::uint32_t payload) { return encEquals(payload, buf); },
-            [&]() { return static_cast<std::uint32_t>(id); });
-        if (!res.inserted) {
-          throw SimError("checkpoint visited log holds a duplicate state");
-        }
-        id += 1;
-      }
-      if (id != m.nextId) {
-        throw SimError(
-            "checkpoint visited log truncated: fewer records than nextId");
-      }
-    } else if (mode_ == VisitedMode::Compact) {
-      if (m.visitedLogRecords != m.nextId) {
-        throw SimError(
-            "checkpoint manifest inconsistent: visited-log record count "
-            "does not match nextId");
-      }
-      visited_.reserveFor(static_cast<std::size_t>(m.visitedLogRecords));
-      growIdArrays(static_cast<std::size_t>(m.nextId));
-      VisitedLogReader rd(cfg_.resumeDir + "/visited.log", m.visitedLogBytes);
-      std::uint64_t fp = 0;
-      std::uint64_t id = 0;
-      while (rd.nextFp(fp)) {
-        if (id >= m.nextId) {
-          throw SimError(
-              "checkpoint visited log holds more records than nextId");
-        }
-        if (checkpointing_) fpsById_[id] = fp;
-        const FlatFingerprintSet::InsertResult res = visited_.insert(
-            fp, [](std::uint32_t) { return true; },
-            [&]() { return static_cast<std::uint32_t>(id); });
-        if (!res.inserted) {
-          throw SimError(
-              "checkpoint visited log holds a duplicate fingerprint");
-        }
-        id += 1;
-      }
-      if (id != m.nextId) {
-        throw SimError(
-            "checkpoint visited log truncated: fewer records than nextId");
-      }
-    } else {
-      std::uint32_t hashes = 0;
-      std::vector<std::uint64_t> words =
-          readBitstateFile(cfg_.resumeDir + "/bitstate.bits", digest_, hashes);
-      bloom_->loadWords(std::move(words), hashes);
-    }
+    store_.restore(cfg_.resumeDir, digest_, m);
     for (const SegmentInfo& s : m.frontier) {
       wave.records += s.records;
       wave.flightSum += s.flightSum;
       protected_.insert(fileBase(s.path));
     }
     wave.segs = m.frontier;
-    loggedRecords_ = m.visitedLogRecords;
-    visitedLogBytes_ = m.visitedLogBytes;
   }
 
   McConfig cfg_;
-  VisitedMode mode_ = VisitedMode::Exact;
   std::uint64_t digest_ = 0;
+  bool checkpointing_ = false;
+  VisitedStore store_;
   proto::TxnCounter txns_;
   std::mutex ctxMu_;
   std::vector<std::unique_ptr<WorkerCtx>> ctxPool_;
-  FlatFingerprintSet visited_;
-  Arena encArena_;  ///< canonical encodings of visited states
-  std::atomic<std::uint32_t> nextId_{0};
-  std::uint32_t idWatermark_ = 0;  ///< POR proviso horizon (wave start)
-  std::vector<EncRef> encs_;
-  std::vector<std::uint32_t> parents_;
-  std::vector<std::uint64_t> actions_;
   McResult result_;
 
   // -- out-of-core state -------------------------------------------------
   bool spill_ = false;
-  bool checkpointing_ = false;
   std::string spillPath_;
   std::string ckptDir_;
-  std::unique_ptr<BitstateFilter> bloom_;        ///< bitstate mode
-  std::unique_ptr<FlatFingerprintSet> waveClaim_;  ///< bitstate, per wave
-  std::atomic<std::uint32_t> claimNext_{0};
-  /// Compact + checkpointing: fingerprint per id, feeding the visited
-  /// log in id order.
-  std::vector<std::uint64_t> fpsById_;
-  std::unique_ptr<VisitedLogWriter> visitedLog_;
-  std::uint64_t loggedRecords_ = 0;
-  std::uint64_t visitedLogBytes_ = 0;
   /// Basenames of segment files referenced by the latest manifest —
   /// deletion must spare them for resume.
   std::set<std::string> protected_;
@@ -1089,19 +763,16 @@ McResult ParallelExplorer::run() {
     restoreFromCheckpoint(wave);
   } else {
     // Seed the root (segment w0-c0 holds the first frontier).
-    growIdArrays(16);
+    store_.beginWave(16);
     ChunkOut rootOut;
     rootOut.writer = makeWriter(0, 0);
     std::unique_ptr<WorkerCtx> ctx = acquireCtx();
     const World init = makeInitialWorld(cfg_, txns_);
-    record(init, kNoParent, Action{}, *ctx, rootOut);
+    record(init, VisitedStore::kNoParent, Action{}, *ctx, rootOut);
     releaseCtx(std::move(ctx));
     rootOut.segs = rootOut.writer->finish();
     result_.perf.merge(rootOut.perf);
-    if (mode_ == VisitedMode::Bitstate) {
-      publishClaims();
-      waveClaim_->clear();
-    }
+    store_.endWave();
     absorbSegs(rootOut, wave);
   }
 
@@ -1144,17 +815,7 @@ McResult ParallelExplorer::run() {
       break;
     }
 
-    visited_.reserveFor(static_cast<std::size_t>(waveBound));
-    if (mode_ == VisitedMode::Bitstate) {
-      waveClaim_->reserveFor(static_cast<std::size_t>(waveBound));
-      claimNext_.store(0, std::memory_order_relaxed);
-    }
-    const std::uint32_t baseId = nextId_.load(std::memory_order_relaxed);
-    growIdArrays(static_cast<std::size_t>(baseId) +
-                 static_cast<std::size_t>(waveBound));
-
-    // Freeze the POR proviso horizon at the wave boundary.
-    idWatermark_ = baseId;
+    store_.beginWave(waveBound);
 
     // Tasks are record ranges over the wave's segments.  Adaptive
     // chunking: large chunks on small frontiers so oversubscribed hosts
@@ -1180,10 +841,7 @@ McResult ParallelExplorer::run() {
     for (ChunkOut& o : outs) {
       if (o.error) std::rethrow_exception(o.error);
     }
-    if (mode_ == VisitedMode::Bitstate) {
-      publishClaims();
-      waveClaim_->clear();
-    }
+    store_.endWave();
 
     result_.statesExplored += expandCount;
     WaveSegs nextWave;
@@ -1203,7 +861,7 @@ McResult ParallelExplorer::run() {
     result_.frontierBytesPeak =
         std::max(result_.frontierBytesPeak, frontierBytes);
     result_.trackedBytesPeak = std::max(result_.trackedBytesPeak,
-                                        trackedBytesBase() + frontierBytes);
+                                        store_.bytes() + frontierBytes);
     std::sort(waveViolations.begin(), waveViolations.end());
     waveViolations.erase(
         std::unique(waveViolations.begin(), waveViolations.end()),
@@ -1241,35 +899,14 @@ McResult ParallelExplorer::run() {
   }
 
   if (cexSeed) {
-    Counterexample cex;
-    cex.kind = cexSeed->kind;
-    cex.detail = cexSeed->detail;
-    // Only exact mode keeps parent edges; lossy modes report the failing
-    // state without a schedule (DESIGN.md §14).
-    if (mode_ == VisitedMode::Exact) {
-      cex.schedule = reconstructSchedule(*cexSeed);
-    }
-    result_.counterexample = std::move(cex);
+    // Lossy modes keep no parent edges: their counterexamples name the
+    // failing state without a schedule (DESIGN.md §14).
+    result_.counterexample = Counterexample{
+        cexSeed->kind, cexSeed->detail,
+        store_.pathTo(cexSeed->leaf, cexSeed->extra)};
   }
-  result_.visitedBytes =
-      visited_.bytes() + encArena_.bytesReserved() +
-      encs_.capacity() * sizeof(EncRef) +
-      parents_.capacity() * sizeof(std::uint32_t) +
-      actions_.capacity() * sizeof(std::uint64_t) +
-      fpsById_.capacity() * sizeof(std::uint64_t) +
-      (bloom_ ? bloom_->bytes() : 0);
-  if (mode_ == VisitedMode::Compact) {
-    const double n = static_cast<double>(result_.perf.storedStates);
-    result_.omissionBound =
-        std::min(1.0, n * (n - 1.0) / 2.0 / std::pow(2.0, 64));
-  } else if (mode_ == VisitedMode::Bitstate) {
-    const double fill = static_cast<double>(bloom_->onesCount()) /
-                        static_cast<double>(bloom_->bitCount());
-    result_.omissionBound =
-        std::min(1.0, static_cast<double>(result_.perf.insertCalls) *
-                          std::pow(fill, static_cast<double>(
-                                             bloom_->hashCount())));
-  }
+  result_.visitedBytes = store_.stateBytes();
+  result_.omissionBound = store_.omissionBound(result_.perf.insertCalls);
   result_.perf.omissionBound = result_.omissionBound;
   struct rusage ru{};
   if (getrusage(RUSAGE_SELF, &ru) == 0) {
@@ -1280,15 +917,6 @@ McResult ParallelExplorer::run() {
 }
 
 }  // namespace
-
-const char* toString(VisitedMode m) {
-  switch (m) {
-    case VisitedMode::Exact: return "exact";
-    case VisitedMode::Compact: return "compact";
-    case VisitedMode::Bitstate: return "bitstate";
-  }
-  return "?";
-}
 
 std::string toString(const Action& a) {
   std::ostringstream os;

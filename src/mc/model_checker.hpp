@@ -25,9 +25,9 @@
 //     coherence check — this is what lets MC refute value-only mutants.
 //   * Exploration is a wave-synchronous parallel BFS over *binary* state
 //     encodings (DESIGN.md §9): canonical states are bit-packed by
-//     `StateCodec`, deduplicated in one flat open-addressing fingerprint
-//     set (`common/flat_set.hpp`, CAS insertion, full-encoding compare on
-//     fingerprint hits), and frontier worlds live as lossless varint
+//     `StateCodec`, remembered by one `VisitedStore` (`visited.hpp`: a
+//     flat open-addressing fingerprint set with CAS insertion, whatever
+//     the visited mode), and frontier worlds live as lossless varint
 //     blobs (`WorldCodec`) in sealed segment record streams
 //     (`spill.hpp`) — in process memory, or in files with `spillDir`.
 //     Each wave's frontier is cut into record ranges across the
@@ -207,8 +207,10 @@ struct McResult {
   std::optional<Counterexample> counterexample;
   /// Encode/insert/expand instrumentation (timing only with cfg.perf).
   McPerfCounters perf;
-  /// End-of-run footprint of the visited structures: flat-set slabs +
-  /// canonical-encoding arena + parent/action/encoding-ref arrays.
+  /// End-of-run bytes the visited store holds for states: flat-set slabs,
+  /// id arrays, stored canonical encodings and the bitstate array.  Arena
+  /// slack is left out (it is counted in `trackedBytesPeak`), so this is
+  /// the same for any `jobs`.
   std::uint64_t visitedBytes = 0;
   /// Peak bytes held by in-memory frontier segments (the wave under
   /// expansion plus the one it produces; 0 when they are file-backed).

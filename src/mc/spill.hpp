@@ -150,8 +150,6 @@ class VisitedLogWriter {
   /// Flush buffered records to the file; the manifest may then pin the
   /// returned offset as the new valid length.
   [[nodiscard]] std::uint64_t flush();
-  [[nodiscard]] std::uint64_t offset() const { return offset_ + buf_.size(); }
-  [[nodiscard]] std::size_t bufferBytes() const { return buf_.capacity(); }
 
  private:
   std::FILE* f_ = nullptr;

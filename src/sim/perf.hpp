@@ -2,8 +2,9 @@
 //
 // Opt-in the same way as mc::McPerfCounters: the deterministic outputs of
 // a run (trace, stats, verdicts) never read these, so they are safe to
-// collect without perturbing seed-equivalence, and callers only print
-// them when asked (`lcdc run --perf`, `lcdc campaign --perf`).  Wall time
+// collect without perturbing seed-equivalence.  They are printed by
+// `lcdc run --perf` and, aggregated over every sub-run, in the
+// `-- timing (non-deterministic) --` block of `lcdc campaign`.  Wall time
 // is measured by the caller around the run loop; the queue counters come
 // from the network's calendar queue, which maintains them unconditionally
 // (they are a handful of increments per event).

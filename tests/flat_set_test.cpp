@@ -242,34 +242,43 @@ TEST(FlatFingerprintSet, PayloadPastIdSpaceThrowsSimError) {
 }
 
 TEST(FlatFingerprintSet, CompactModeTrustsTheFingerprint) {
-  // Hash compaction: same fingerprint, different bytes => deduplicated
-  // anyway, and the equality callback must never run.
-  FlatFingerprintSet set(64, FlatFingerprintSet::Mode::Compact);
-  EXPECT_EQ(set.mode(), FlatFingerprintSet::Mode::Compact);
-  bool equalsCalled = false;
-  const auto equals = [&](std::uint32_t) {
-    equalsCalled = true;
-    return false;
+  // Hash compaction is an always-true equality: a fingerprint hit
+  // deduplicates with no byte compare, even for different bytes, and the
+  // assign callback of the losing insert never runs.
+  FlatFingerprintSet set(64);
+  std::vector<std::string> store;
+  const auto trust = [](std::uint32_t) { return true; };
+  const auto keep = [&](const std::string& s) {
+    return [&store, s] {
+      store.push_back(s);
+      return static_cast<std::uint32_t>(store.size() - 1);
+    };
   };
-  const auto a = set.insert(42, equals, [] { return 7u; });
+  const auto a = set.insert(42, trust, keep("state-a"));
   EXPECT_TRUE(a.inserted);
-  const auto b = set.insert(42, equals, [] { return 8u; });
+  const auto b = set.insert(42, trust, keep("state-b"));
   EXPECT_FALSE(b.inserted);
-  EXPECT_EQ(b.payload, 7u);
-  EXPECT_FALSE(equalsCalled);
+  EXPECT_EQ(b.payload, a.payload);
+  EXPECT_EQ(store, std::vector<std::string>{"state-a"});
   EXPECT_EQ(set.size(), 1u);
-  const auto hit = set.find(42, equals);
+  const auto hit = set.find(42, trust);
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, 7u);
-  EXPECT_FALSE(equalsCalled);
+  EXPECT_EQ(*hit, a.payload);
+  // The same collision under a byte-comparing equality keeps both.
+  const auto bytes = [&](const std::string& s) {
+    return [&store, s](std::uint32_t p) { return store[p] == s; };
+  };
+  const auto c = set.insert(42, bytes("state-b"), keep("state-b"));
+  EXPECT_TRUE(c.inserted);
+  EXPECT_EQ(set.size(), 2u);
 }
 
 TEST(FlatFingerprintSet, ClearKeepsSlabsAndForEachEnumerates) {
-  FlatFingerprintSet set(64, FlatFingerprintSet::Mode::Compact);
-  const auto never = [](std::uint32_t) { return true; };
+  FlatFingerprintSet set(64);
+  const auto trust = [](std::uint32_t) { return true; };
   for (std::uint64_t fp = 1; fp <= 10; ++fp) {
     std::uint32_t id = static_cast<std::uint32_t>(fp);
-    (void)set.insert(fp * 0x9E3779B97F4A7C15ULL, never, [id] { return id; });
+    (void)set.insert(fp * 0x9E3779B97F4A7C15ULL, trust, [id] { return id; });
   }
   std::vector<std::uint64_t> seen;
   set.forEachFingerprint([&](std::uint64_t fp) { seen.push_back(fp); });
@@ -283,7 +292,7 @@ TEST(FlatFingerprintSet, ClearKeepsSlabsAndForEachEnumerates) {
   EXPECT_TRUE(seen.empty());
   // The cleared table is immediately reusable (the per-wave claim-table
   // pattern).
-  const auto r = set.insert(99, never, [] { return 1u; });
+  const auto r = set.insert(99, trust, [] { return 1u; });
   EXPECT_TRUE(r.inserted);
 }
 

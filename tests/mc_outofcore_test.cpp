@@ -16,6 +16,7 @@
 #include "common/expect.hpp"
 #include "mc/model_checker.hpp"
 #include "mc/spill.hpp"
+#include "mc/visited.hpp"
 
 namespace lcdc {
 namespace {
@@ -380,6 +381,103 @@ TEST(VisitedModes, DeterministicForAnyJobs) {
   }
 }
 
+// -- the visited store --------------------------------------------------------
+
+TEST(VisitedStore, CheckpointRestoresIdsMembershipAndBoundInEveryMode) {
+  // Distinct byte strings stand in for canonical encodings: the store
+  // never interprets them.
+  std::vector<std::vector<std::byte>> states;
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    std::vector<std::byte> e(4 + i % 5, std::byte{0xAB});
+    for (std::size_t k = 0; k < 4; ++k) {
+      e[k] = static_cast<std::byte>((i >> (8 * k)) & 0xFF);
+    }
+    states.push_back(e);
+  }
+  const auto fp = [](const std::vector<std::byte>& e) {
+    return fingerprintHash(e.data(), e.size());
+  };
+  mc::Action issue;
+  issue.kind = mc::Action::Kind::Issue;
+  issue.proc = 1;
+  const std::uint64_t digest = 0x5EED;
+  for (const mc::VisitedMode mode :
+       {mc::VisitedMode::Exact, mc::VisitedMode::Compact,
+        mc::VisitedMode::Bitstate}) {
+    const std::string label = mc::toString(mode);
+    TempDir dir("store_" + label);
+    mc::VisitedStore a(mode, 1, /*checkpointing=*/true);
+    ArenaRef cursorA(a.arena());
+    a.beginWave(states.size());
+    for (std::uint32_t i = 0; i < states.size(); ++i) {
+      const std::uint32_t parent = i == 0 ? mc::VisitedStore::kNoParent : i - 1;
+      EXPECT_TRUE(a.claim(fp(states[i]), states[i], parent,
+                          mc::packAction(issue), cursorA)
+                      .inserted)
+          << label;
+    }
+    a.endWave();
+    mc::CheckpointManifest m;
+    EXPECT_GT(a.checkpoint(dir.path, digest, m), 0u) << label;
+
+    mc::VisitedStore b(mode, 1, /*checkpointing=*/true);
+    b.restore(dir.path, digest, m);
+    EXPECT_EQ(b.nextId(), a.nextId()) << label;
+    EXPECT_EQ(b.omissionBound(states.size()), a.omissionBound(states.size()))
+        << label;
+    EXPECT_EQ(b.stateBytes(), a.stateBytes()) << label;
+    const auto path = [](const mc::VisitedStore& st) {
+      std::vector<std::string> out;
+      for (const mc::Action& x : st.pathTo(299, std::nullopt)) {
+        out.push_back(mc::toString(x));
+      }
+      return out;
+    };
+    EXPECT_EQ(path(b), path(a)) << label;
+    EXPECT_EQ(path(b).size(), mode == mc::VisitedMode::Exact ? 299u : 0u)
+        << label;
+
+    ArenaRef cursorB(b.arena());
+    b.beginWave(states.size() + 1);
+    for (std::uint32_t i = 0; i < states.size(); ++i) {
+      const mc::VisitedStore::Claim c =
+          b.claim(fp(states[i]), states[i], 0, 0, cursorB);
+      EXPECT_FALSE(c.inserted) << label << " state " << i;
+      if (mode != mc::VisitedMode::Bitstate) {
+        EXPECT_EQ(c.payload, i) << label;
+      }
+    }
+    const std::vector<std::byte> novel(3, std::byte{0xEE});
+    EXPECT_TRUE(b.claim(fp(novel), novel, 0, 0, cursorB).inserted) << label;
+  }
+}
+
+TEST(VisitedStore, CompactRestoreAcceptsOneByteRecords) {
+  // A compact record is the varint of a fingerprint, so a small one takes
+  // a single byte: a log of one such record must restore.
+  TempDir dir("store_compact_small");
+  const std::vector<std::byte> enc(4, std::byte{0x11});
+  const std::uint64_t smallFp = 5;
+  mc::VisitedStore a(mc::VisitedMode::Compact, 1, /*checkpointing=*/true);
+  ArenaRef cursorA(a.arena());
+  a.beginWave(1);
+  ASSERT_TRUE(
+      a.claim(smallFp, enc, mc::VisitedStore::kNoParent, 0, cursorA).inserted);
+  a.endWave();
+  mc::CheckpointManifest m;
+  EXPECT_EQ(a.checkpoint(dir.path, 0x5EED, m), 1u);
+  ASSERT_EQ(fs::file_size(dir.path + "/visited.log"), 1u);
+
+  mc::VisitedStore b(mc::VisitedMode::Compact, 1, /*checkpointing=*/true);
+  b.restore(dir.path, 0x5EED, m);
+  EXPECT_EQ(b.nextId(), 1u);
+  ArenaRef cursorB(b.arena());
+  b.beginWave(1);
+  const mc::VisitedStore::Claim c = b.claim(smallFp, enc, 0, 0, cursorB);
+  EXPECT_FALSE(c.inserted);
+  EXPECT_EQ(c.payload, 0u);
+}
+
 // -- corrupt on-disk inputs ---------------------------------------------------
 
 TEST(SpillHygiene, ConfigMismatchOnResumeRaisesSimError) {
@@ -474,6 +572,36 @@ TEST(SpillHygiene, CorruptFilesRaiseSimErrorNotUb) {
     std::ofstream out(manifestPath, std::ios::binary | std::ios::trunc);
     out.write(originalManifest.data(),
               static_cast<std::streamsize>(originalManifest.size()));
+  }
+
+  // A manifest claiming more states than its visited log can hold (every
+  // exact record takes at least 3 bytes) is refused before anything is
+  // sized for them.  One past the bound keeps the test cheap if that
+  // check ever goes missing.
+  {
+    std::string bad = originalManifest;
+    const auto setLine = [&](const std::string& key, const std::string& v) {
+      const std::size_t at = bad.find("\n" + key + " ") + 1;
+      bad.replace(at, bad.find('\n', at) - at, key + " " + v);
+    };
+    const std::size_t at = bad.find("\nvisitedLog ") + 12;
+    const std::string logBytes = bad.substr(at, bad.find(' ', at) - at);
+    const std::string tooMany = std::to_string(std::stoull(logBytes) / 3 + 1);
+    setLine("nextId", tooMany);
+    setLine("visitedLog", logBytes + " " + tooMany);
+    std::ofstream out(manifestPath, std::ios::binary | std::ios::trunc);
+    out << bad;
+  }
+  try {
+    (void)resume();
+    ADD_FAILURE() << "an overstated nextId was accepted";
+  } catch (const SimError& e) {
+    EXPECT_NE(std::string(e.what()).find("inconsistent"), std::string::npos)
+        << e.what();
+  }
+  {
+    std::ofstream out(manifestPath, std::ios::binary | std::ios::trunc);
+    out << originalManifest;
   }
 
   // Truncated visited log *below* the manifest's pinned length.

@@ -132,7 +132,7 @@ TEST(ParallelMc, ResultsAreIndependentOfJobCount) {
   cfg.numBlocks = 1;
   cfg.jobs = 1;
   const mc::McResult base = mc::explore(cfg);
-  for (const unsigned jobs : {2u, 8u}) {
+  for (const unsigned jobs : {2u, 4u, 8u}) {
     cfg.jobs = jobs;
     const mc::McResult r = mc::explore(cfg);
     EXPECT_EQ(r.statesExplored, base.statesExplored) << "jobs=" << jobs;
@@ -141,6 +141,8 @@ TEST(ParallelMc, ResultsAreIndependentOfJobCount) {
     EXPECT_EQ(r.wavesCompleted, base.wavesCompleted) << "jobs=" << jobs;
     EXPECT_EQ(r.ok(), base.ok()) << "jobs=" << jobs;
     EXPECT_EQ(r.deadlockFound, base.deadlockFound) << "jobs=" << jobs;
+    // Bytes held for states, not per-worker arena slack.
+    EXPECT_EQ(r.visitedBytes, base.visitedBytes) << "jobs=" << jobs;
   }
 }
 
